@@ -6,6 +6,7 @@ error, 3 preset outcome mismatch.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -13,7 +14,8 @@ import sys
 import numpy as np
 
 from . import sim, svg, verify
-from .control import Gains, NoConvergenceError, Setpoint, solve_equilibrium_qm
+from .control import (Gains, NoConvergenceError, Setpoint, balance_residual,
+                      solve_equilibrium_qm)
 from .model import preset_paper
 from .sim import (CONVERGED, DIVERGED, INCONCLUSIVE, LIMIT_CYCLE, Scenario,
                   ScenarioError, load_scenario, save_scenario)
@@ -102,12 +104,11 @@ def _resolve_scenario(args):
         expect, desc = None, "user scenario"
     else:
         raise ScenarioError("a --preset or --scenario is required")
-    if args.dt is not None:
-        scenario.dt = args.dt
-        Scenario.__post_init__(scenario)
-    if args.duration is not None:
-        scenario.duration = args.duration
-        Scenario.__post_init__(scenario)
+    overrides = {name: value for name, value in
+                 (("dt", args.dt), ("duration", args.duration))
+                 if value is not None}
+    if overrides:
+        scenario = dataclasses.replace(scenario, **overrides)
     return scenario, expect, desc
 
 
@@ -176,9 +177,7 @@ def cmd_equilibrium(args):
         print(f"no balance point within mover travel: residual |g_phi| = "
               f"{exc.residual:.6e} at qm = {exc.qm}")
         return 1
-    from . import engine
-    q = np.concatenate([[0.0, 0.0, gamma_des], qm, qr_des])
-    res = float(np.linalg.norm(engine.assemble1(model, q).g[0][0:2]))
+    res = float(np.linalg.norm(balance_residual(model, qm, qr_des, gamma_des)))
     print(f"qm* = [{qm[0]:.9f}, {qm[1]:.9f}]   residual |g_phi| = {res:.3e}")
     if args.write and args.scenario:
         scenario.setpoint = Setpoint(gamma_des, qr_des, qm)
@@ -203,8 +202,6 @@ def build_parser():
     run_p.add_argument("--svg", action="store_true", help="emit SVG plots")
     run_p.add_argument("--dt", type=float, help="integration step override [s]")
     run_p.add_argument("--duration", type=float, help="run length override [s]")
-    run_p.add_argument("--seed", type=int, default=0, help="unused for runs; "
-                       "accepted for interface symmetry")
 
     ver_p = sub.add_parser("verify", help="run the property verification suite")
     ver_p.add_argument("--seed", type=int, default=0)

@@ -163,22 +163,12 @@ def outer_refs(state, setpoint, gains):
     return gdd, qrdd
 
 
-def _cond2(A):
-    """Condition number of a 2x2 block from its singular values."""
-    t = float(A[0, 0]**2 + A[0, 1]**2 + A[1, 0]**2 + A[1, 1]**2)
-    d = float(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])
-    disc = max(t * t - 4.0 * d * d, 0.0)
-    smax = np.sqrt(0.5 * (t + np.sqrt(disc)))
-    smin_sq = 0.5 * (t - np.sqrt(disc))
-    if smin_sq <= 0.0:
-        return np.inf
-    return smax / np.sqrt(smin_sq)
-
-
 def _solve_phim(M_phim, rhs):
-    if _cond2(M_phim) > M_PHIM_COND_LIMIT:
+    smax_sq, smin_sq = dynamics.singular_values_sq2(M_phim)
+    cond = np.inf if smin_sq <= 0.0 else np.sqrt(smax_sq) / np.sqrt(smin_sq)
+    if cond > M_PHIM_COND_LIMIT:
         raise SingularCouplingError(
-            f"roll/pitch-to-mover coupling condition {_cond2(M_phim):.3e} "
+            f"roll/pitch-to-mover coupling condition {cond:.3e} "
             f"exceeds {M_PHIM_COND_LIMIT:.0e}")
     return np.linalg.solve(M_phim, rhs)
 
@@ -218,16 +208,20 @@ def qm_ref_proposed(state, transformed, setpoint, gains):
     return gains.D * inner
 
 
+def _pfl(ev, ydd_ref):
+    """Exact PFL: u = (B' M^-1 B)^-1 (B' M^-1 bias + ydd_ref), with the
+    B' M^-1 rows read off the evaluation's stacked solve M^-1 [B | bias]."""
+    X = ev.act_solve()
+    return np.linalg.solve(X[2:, :-1], X[2:, -1] + ydd_ref)
+
+
 def pfl_input_standard(state, terms, ydd_ref):
     """Exact linearizing input in the original coordinates:
-    u = (B' M^-1 B)^-1 (B' M^-1 (C qd + g) + ydd_ref)."""
-    M = terms.M
-    bias = terms.C @ state.qd + terms.g
-    X = np.linalg.solve(M, np.concatenate([np.zeros((2, M.shape[0] - 2)), np.eye(M.shape[0] - 2)]))
-    mb = np.linalg.solve(M, bias)
-    G = X[2:]
-    u = np.linalg.solve(G, mb[2:] + np.asarray(ydd_ref, dtype=float))
-    return _split_u(u, M.shape[0] - 5)
+    u = (B' M^-1 B)^-1 (B' M^-1 (C qd + g) + ydd_ref).  ``terms`` is the
+    Eval at ``state``."""
+    del state
+    u = _pfl(terms, np.asarray(ydd_ref, dtype=float))
+    return _split_u(u, terms.model.n_links)
 
 
 def pfl_input_transformed(state, transformed, ydd_ref):
@@ -249,6 +243,13 @@ def pfl_input_transformed(state, transformed, ydd_ref):
     return _split_u(u, N - 5)
 
 
+def balance_residual(model, qm, qr_des, gamma_des=0.0):
+    """g_phi at level attitude, movers at qm and arm at qr_des; its norm is
+    the static balance residual |g_phi(phi=0, q_m, q_r_des)|."""
+    q = np.concatenate([[0.0, 0.0, gamma_des], qm, qr_des])
+    return engine.assemble1(model, q).g[0][0:2]
+
+
 def solve_equilibrium_qm(model, qr_des, gamma_des=0.0, tol=1e-10, max_iter=100):
     """Mover position statically balancing the arm's gravity torque at level
     attitude, by damped Newton on the 2-vector g_phi(phi=0, q_m, qr_des).
@@ -262,8 +263,7 @@ def solve_equilibrium_qm(model, qr_des, gamma_des=0.0, tol=1e-10, max_iter=100):
     lim = model.movers.travel_limit
 
     def residual(qm):
-        q = np.concatenate([[0.0, 0.0, gamma_des], qm, qr_des])
-        return engine.assemble1(model, q).g[0][0:2]
+        return balance_residual(model, qm, qr_des, gamma_des)
 
     def jac(qm):
         h = 1e-7
@@ -312,38 +312,21 @@ class Controller:
                            "gain ordering; convergence is not guaranteed")
 
     def u_vector(self, ev):
-        """Actuated force vector u for the fused evaluation ev."""
+        """Actuated force vector u for the fused evaluation ev, which also
+        serves as the state and the (transformed) terms of the laws."""
         if self.name == "free":
             return np.zeros(ev.model.dof - 2)
-        q, qd = ev.q, ev.qd
         gains, sp = self.gains, self.setpoint
-        gdd = -gains.D_gamma * qd[2] - gains.K_gamma * (q[2] - sp.gamma_des)
-        qrdd = -gains.D_r * qd[5:] - gains.K_r * (q[5:] - sp.qr_des)
-        qm = q[3:5]
-        qmd = qd[3:5]
+        gdd, qrdd = outer_refs(ev, sp, gains)
         if self.name == "motivating":
-            rhs = (gains.D_phi * qd[0:2] + gains.K_phi * q[0:2]
-                   - ev.C[0:2, 3:5] @ qmd - ev.g[0:2])
-            qmdd = _solve_phim(ev.M[0:2, 3:5], rhs)
-        elif self.name == "remark2":
-            rhs = (gains.D_phi * qd[0:2] + gains.K_phi * q[0:2]
-                   - ev.C[0:2, 3:5] @ qmd - ev.g[0:2])
-            qmdd = (_solve_phim(ev.M[0:2, 3:5], rhs)
-                    - gains.D_m * qmd - gains.K_m * (qm - sp.qm_star))
+            qmdd = qm_ref_motivating(ev, ev, gains)
         elif self.name == "remark1":
-            qmdd = ev.Mbar[0:2, 3:5].T @ (gains.D_c * (ev.Jcom @ qd)
-                                          + gains.K_c * ev.com)
-        else:  # proposed
-            inner = (ev.Mbar[0:2, 3:5].T @ (gains.D_c * (ev.Jcom @ qd)
-                                            + gains.K_c * ev.com)
-                     - gains.D_m * qmd - gains.K_m * (qm - sp.qm_star))
-            qmdd = gains.D * inner
-        ydd_ref = np.concatenate([[gdd], qmdd, qrdd])
-
-        # Exact PFL: u = (B' M^-1 B)^-1 (B' M^-1 bias + ydd_ref), with
-        # B' M^-1 rows read off the shared stacked solve.
-        X = ev.act_solve()
-        return np.linalg.solve(X[2:, :-1], X[2:, -1] + ydd_ref)
+            qmdd = qm_ref_remark1(ev, ev, gains)
+        elif self.name == "remark2":
+            qmdd = qm_ref_remark2(ev, ev, sp, gains)
+        else:
+            qmdd = qm_ref_proposed(ev, ev, sp, gains)
+        return _pfl(ev, np.concatenate([[gdd], qmdd, qrdd]))
 
 
 def make_controller(name, gains=None, setpoint=None):

@@ -12,8 +12,6 @@ so gravity vanishes for the transformed internal coordinates exactly at the
 hanging target.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
@@ -45,28 +43,108 @@ def tau_from_u(u):
     return np.concatenate([np.zeros(2), np.asarray(u, dtype=float)])
 
 
-@dataclass
-class DynamicsTerms:
-    """M, C, g evaluated at one state, with the named blocks used by the
-    oscillation-damping laws."""
+def singular_values_sq2(A):
+    """Squared singular values (largest, smallest) of a 2x2 block, closed form."""
+    t = float(A[0, 0]**2 + A[0, 1]**2 + A[1, 0]**2 + A[1, 1]**2)
+    d = float(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])
+    root = np.sqrt(max(t * t - 4.0 * d * d, 0.0))
+    return 0.5 * (t + root), 0.5 * (t - root)
 
-    q: np.ndarray
-    qd: np.ndarray
-    M: np.ndarray
-    C: np.ndarray
-    g: np.ndarray
+
+class Eval:
+    """Fused per-state evaluation shared by the simulator and controllers.
+
+    One batched engine call provides M, dM/dq (gamma column analytic zero:
+    the kinetic energy is invariant under yaw), C, g, the potential, CoM data
+    and, when requested, the transformed terms.  The named blocks read by the
+    oscillation-damping laws are properties, so an Eval serves as the state,
+    the dynamics terms and the transformed terms those laws take.
+    """
+
+    __slots__ = ("model", "q", "qd", "M", "dM", "C", "g", "bias", "V", "com",
+                 "Jcom", "T", "Tdot", "Mbar", "Cbar", "gbar", "_cho",
+                 "cond", "_act")
+
+    def __init__(self, model, q, qd, need_transform=True):
+        q = np.asarray(q, dtype=float)
+        qd = np.asarray(qd, dtype=float)
+        N = model.dof
+        fd_idx = [0, 1] + list(range(3, N))
+        m = len(fd_idx)
+        B = 1 + 2 * m + (2 if need_transform else 0)
+        Qb = np.repeat(q[None, :], B, axis=0)
+        h = FD_STEP
+        for j, i in enumerate(fd_idx):
+            Qb[1 + 2 * j, i] += h
+            Qb[2 + 2 * j, i] -= h
+        if need_transform:
+            Qb[-2] += h * qd
+            Qb[-1] -= h * qd
+        a = engine.assemble(model, Qb)
+
+        self.model = model
+        self.q = q
+        self.qd = qd
+        self.M = a.M[0]
+        self.g = a.g[0]
+        self.V = float(a.V[0]) - engine.potential_offset(model)
+        self.com = a.com[0]
+        self.Jcom = a.Jcom[0]
+        self._cho = None
+        self._act = None
+
+        dM = np.zeros((N, N, N))
+        dM[fd_idx] = (a.M[1:1 + 2 * m:2] - a.M[2:2 + 2 * m:2]) / (2.0 * h)
+        self.dM = dM
+        # Christoffel contraction; dM[i] is symmetric, so the second and
+        # third terms are transposes of one contraction.
+        Mdot = np.tensordot(qd, dM, axes=(0, 0))
+        S = np.tensordot(dM, qd, axes=(2, 0))
+        self.C = 0.5 * (Mdot + S.T - S)
+        self.bias = self.C @ qd + self.g
+
+        if need_transform:
+            T = np.zeros((N, N))
+            T[0:2] = self.Jcom
+            T[np.arange(2, N), np.arange(2, N)] = 1.0
+            Tdot = np.zeros((N, N))
+            Tdot[0:2] = (a.Jcom[-2] - a.Jcom[-1]) / (2.0 * h)
+            self.T = T
+            self.Tdot = Tdot
+            # T is block-triangular [[A, D], [0, I]]; its conditioning is
+            # governed by the 2x2 attitude block A, estimated cheaply here.
+            _, smin_sq = singular_values_sq2(T[0:2, 0:2])
+            smin = np.sqrt(max(smin_sq, 0.0))
+            scale = max(np.abs(T).max(), 1.0)
+            self.cond = np.inf if smin == 0.0 else scale / smin
+            if self.cond > COND_LIMIT:
+                raise IllConditionedTransformError(
+                    f"transform condition estimate {self.cond:.3e} exceeds {COND_LIMIT:.0e}")
+            Tinv = np.linalg.inv(T)
+            self.Mbar = Tinv.T @ self.M @ Tinv
+            self.Cbar = Tinv.T @ (self.C - self.M @ Tinv @ Tdot) @ Tinv
+            self.gbar = Tinv.T @ self.g
+        else:
+            self.T = None
+            self.Tdot = None
+            self.Mbar = None
+            self.Cbar = None
+            self.gbar = None
+            self.cond = None
 
     @property
-    def M_phiphi(self):
-        return self.M[0:2, 0:2]
+    def terms(self):
+        return self
+
+    @property
+    def transformed(self):
+        if self.Mbar is None:
+            raise ValueError("evaluation was built without transformed terms")
+        return self
 
     @property
     def M_phim(self):
         return self.M[0:2, 3:5]
-
-    @property
-    def C_phiphi(self):
-        return self.C[0:2, 0:2]
 
     @property
     def C_phim(self):
@@ -75,20 +153,6 @@ class DynamicsTerms:
     @property
     def g_phi(self):
         return self.g[0:2]
-
-
-@dataclass
-class TransformedTerms:
-    """Transform T, its rate, and the dynamics expressed in CoM coordinates."""
-
-    T: np.ndarray
-    Tdot: np.ndarray
-    Mbar: np.ndarray
-    Cbar: np.ndarray
-    gbar: np.ndarray
-    xc: np.ndarray
-    xc_dot: np.ndarray
-    cond: float
 
     @property
     def Mbar_cc(self):
@@ -109,104 +173,6 @@ class TransformedTerms:
     @property
     def gbar_c(self):
         return self.gbar[0:2]
-
-
-class Eval:
-    """Fused per-state evaluation shared by the simulator and controllers.
-
-    One batched engine call provides M, dM/dq (gamma column analytic zero:
-    the kinetic energy is invariant under yaw), C, g, the potential, CoM data
-    and, when requested, the transformed terms.
-    """
-
-    __slots__ = ("model", "q", "qd", "M", "dM", "C", "g", "bias", "V", "com",
-                 "Jcom", "T", "Tdot", "Mbar", "Cbar", "gbar", "_cho",
-                 "cond_T", "_Tinv", "_act")
-
-    def __init__(self, model, q, qd, need_transform=True):
-        q = np.asarray(q, dtype=float)
-        qd = np.asarray(qd, dtype=float)
-        N = model.dof
-        fd_idx = [0, 1] + list(range(3, N))
-        m = len(fd_idx)
-        B = 1 + 2 * m + (2 if need_transform else 0)
-        Qb = np.repeat(q[None, :], B, axis=0)
-        h = FD_STEP
-        for j, i in enumerate(fd_idx):
-            Qb[1 + 2 * j, i] += h
-            Qb[2 + 2 * j, i] -= h
-        if need_transform:
-            Qb[-2] += h * qd
-            Qb[-1] -= h * qd
-        M_b, g_b, V_b, com_b, Jcom_b = engine.assemble_min(model, Qb)
-
-        self.model = model
-        self.q = q
-        self.qd = qd
-        self.M = M_b[0]
-        self.g = g_b[0]
-        self.V = float(V_b[0]) - engine.potential_offset(model)
-        self.com = com_b[0]
-        self.Jcom = Jcom_b[0]
-        self._cho = None
-        self._Tinv = None
-        self._act = None
-
-        dM = np.zeros((N, N, N))
-        dM[fd_idx] = (M_b[1:1 + 2 * m:2] - M_b[2:2 + 2 * m:2]) / (2.0 * h)
-        self.dM = dM
-        # Christoffel contraction; dM[i] is symmetric, so the second and
-        # third terms are transposes of one contraction.
-        Mdot = np.tensordot(qd, dM, axes=(0, 0))
-        S = np.tensordot(dM, qd, axes=(2, 0))
-        self.C = 0.5 * (Mdot + S.T - S)
-        self.bias = self.C @ qd + self.g
-
-        if need_transform:
-            T = np.zeros((N, N))
-            T[0:2] = self.Jcom
-            T[np.arange(2, N), np.arange(2, N)] = 1.0
-            Tdot = np.zeros((N, N))
-            Tdot[0:2] = (Jcom_b[-2] - Jcom_b[-1]) / (2.0 * h)
-            self.T = T
-            self.Tdot = Tdot
-            # T is block-triangular [[A, D], [0, I]]; its conditioning is
-            # governed by the 2x2 attitude block A, estimated cheaply here.
-            A = T[0:2, 0:2]
-            t = float(A[0, 0]**2 + A[0, 1]**2 + A[1, 0]**2 + A[1, 1]**2)
-            d = float(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])
-            disc = max(t * t - 4.0 * d * d, 0.0)
-            smin_sq = 0.5 * (t - np.sqrt(disc))
-            smin = np.sqrt(max(smin_sq, 0.0))
-            scale = max(np.abs(T).max(), 1.0)
-            self.cond_T = np.inf if smin == 0.0 else scale / smin
-            if self.cond_T > COND_LIMIT:
-                raise IllConditionedTransformError(
-                    f"transform condition estimate {self.cond_T:.3e} exceeds {COND_LIMIT:.0e}")
-            Tinv = np.linalg.inv(T)
-            self._Tinv = Tinv
-            self.Mbar = Tinv.T @ self.M @ Tinv
-            self.Cbar = Tinv.T @ (self.C - self.M @ Tinv @ Tdot) @ Tinv
-            self.gbar = Tinv.T @ self.g
-        else:
-            self.T = None
-            self.Tdot = None
-            self.Mbar = None
-            self.Cbar = None
-            self.gbar = None
-            self.cond_T = None
-
-    @property
-    def terms(self):
-        return DynamicsTerms(self.q, self.qd, self.M, self.C, self.g)
-
-    @property
-    def transformed(self):
-        if self.Mbar is None:
-            raise ValueError("evaluation was built without transformed terms")
-        return TransformedTerms(self.T, self.Tdot, self.Mbar, self.Cbar,
-                                self.gbar, self.com,
-                                self.Jcom @ self.qd, self.cond_T)
 
     @property
     def xc(self):
@@ -275,7 +241,7 @@ def gravity_vector(model, q):
 
 def potential_energy(model, q):
     """Gravitational potential, zero at the all-zero configuration."""
-    V = engine.assemble_min(model, np.asarray(q, dtype=float)[None])[2]
+    V = engine.assemble1(model, q).V
     return float(V[0]) - engine.potential_offset(model)
 
 
@@ -295,8 +261,8 @@ def coriolis_matrix(model, q, qd):
 
 
 def dynamics_terms(model, q, qd):
-    """M, C, g with named blocks at one state."""
-    return Eval(model, q, qd, need_transform=False).terms
+    """Eval holding M, C, g and their named blocks at one state."""
+    return Eval(model, q, qd, need_transform=False)
 
 
 def forward_dynamics(model, q, qd, tau):
@@ -308,13 +274,12 @@ def forward_dynamics(model, q, qd, tau):
 
 
 def transform(model, q, qd):
-    """Transformed terms in CoM coordinates; the conditioning guard here uses
-    the exact condition number of T."""
+    """Eval with the terms in CoM coordinates; the conditioning guard here
+    uses the exact condition number of T, stored as ``cond``."""
     ev = Eval(model, q, qd, need_transform=True)
     cond = float(np.linalg.cond(ev.T))
     if cond > COND_LIMIT:
         raise IllConditionedTransformError(
             f"cond(T) = {cond:.3e} exceeds {COND_LIMIT:.0e}")
-    tt = ev.transformed
-    tt.cond = cond
-    return tt
+    ev.cond = cond
+    return ev

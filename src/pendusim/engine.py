@@ -13,6 +13,8 @@ Movers are point masses and carry no rotational inertia.
 
 import numpy as np
 
+from . import spatial
+
 _EYE3 = np.eye(3)
 
 
@@ -47,29 +49,7 @@ def assemble(model, Q):
     plat = model.platform
     L = plat.wire_length
 
-    sa, ca = np.sin(Q[:, 0]), np.cos(Q[:, 0])
-    sb, cb = np.sin(Q[:, 1]), np.cos(Q[:, 1])
-    sg, cg = np.sin(Q[:, 2]), np.cos(Q[:, 2])
-
-    R = np.empty((B, 3, 3))
-    R[:, 0, 0] = cg * cb
-    R[:, 0, 1] = cg * sb * sa - sg * ca
-    R[:, 0, 2] = cg * sb * ca + sg * sa
-    R[:, 1, 0] = sg * cb
-    R[:, 1, 1] = sg * sb * sa + cg * ca
-    R[:, 1, 2] = sg * sb * ca - cg * sa
-    R[:, 2, 0] = -sb
-    R[:, 2, 1] = cb * sa
-    R[:, 2, 2] = cb * ca
-
-    # World-frame Euler rate map: omega = E @ (da, db, dg).
-    E = np.zeros((B, 3, 3))
-    E[:, 0, 0] = cb * cg
-    E[:, 1, 0] = cb * sg
-    E[:, 2, 0] = -sb
-    E[:, 0, 1] = -sg
-    E[:, 1, 1] = cg
-    E[:, 2, 2] = 1.0
+    R, E = spatial.rpy_frames(Q[:, 0], Q[:, 1], Q[:, 2])
 
     ex, ey, ez = R[:, :, 0], R[:, :, 1], R[:, :, 2]
     p_plat = -L * ez
@@ -165,31 +145,11 @@ def assemble1(model, q):
     return assemble(model, np.asarray(q, dtype=float)[None])
 
 
-try:
-    from . import engine_fast as _fast
-    _FAST = _fast.assemble_min if _fast.HAVE_NUMBA else None
-except ImportError:  # pragma: no cover
-    _FAST = None
-
-
-def assemble_min(model, Q):
-    """(M, g, V, com, Jcom) for a batch of configurations.
-
-    Routed through the JIT kernel when numba is importable (the two paths are
-    parity-tested against each other); otherwise served by the full numpy
-    assembly."""
-    Q = np.asarray(Q, dtype=float)
-    if _FAST is not None:
-        return _FAST(model, Q)
-    out = assemble(model, Q)
-    return out.M, out.g, out.V, out.com, out.Jcom
-
-
 def potential_offset(model):
     """Potential of the zero configuration, cached on the model; subtracting
     it keeps logged/compared energies at oscillation scale instead of the
     absolute hanging-depth scale."""
     cache = model._v0_cache
     if cache[0] is None:
-        cache[0] = float(assemble_min(model, np.zeros((1, model.dof)))[2][0])
+        cache[0] = float(assemble(model, np.zeros((1, model.dof))).V[0])
     return cache[0]

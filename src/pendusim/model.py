@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spatial import BETA_GUARD, euler_rate_map, rot_rpy, skew
+from . import engine
+from .spatial import check_pitch, euler_rate_map, skew
 
 
 class UnsupportedPresetError(ValueError):
@@ -166,9 +167,7 @@ class State:
             raise ValueError("q and qd must have equal length")
         if not (np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.qd))):
             raise ValueError("state entries must be finite")
-        if abs(self.q[1]) >= BETA_GUARD:
-            from .spatial import GimbalLockError
-            raise GimbalLockError(f"pitch {self.q[1]:.6f} rad violates the gimbal guard")
+        check_pitch(self.q[1])
 
     @classmethod
     def zeros(cls, model, t=0.0):
@@ -244,39 +243,6 @@ def preset_paper(n):
                        links=_rod_links(defs))
 
 
-def _frames(model, q):
-    """World pose of every body at configuration q.
-
-    Returns (R, p_platform, mover_positions(2,3), link_R(n,3,3),
-    link_origin(n,3), link_com(n,3), joint_axes_world(n,3)).
-    """
-    plat = model.platform
-    R = rot_rpy(q[0], q[1], q[2])
-    p_plat = R @ np.array([0.0, 0.0, -plat.wire_length])
-    ez = R[:, 2]
-    p_m = np.array([
-        p_plat + q[3] * R[:, 0] + plat.rail_height * ez,
-        p_plat + q[4] * R[:, 1] + plat.rail_height * ez,
-    ])
-    n = model.n_links
-    link_R = np.empty((n, 3, 3))
-    link_o = np.empty((n, 3))
-    link_c = np.empty((n, 3))
-    axes_w = np.empty((n, 3))
-    Rk = R
-    ok = p_plat + R @ plat.mount_offset
-    for k, link in enumerate(model.links):
-        ok = ok + Rk @ link.parent_offset
-        axes_w[k] = Rk @ link.axis
-        sk = model._kmats[k]
-        Rk = Rk @ (np.eye(3) + np.sin(q[5 + k]) * sk
-                   + (1.0 - np.cos(q[5 + k])) * model._kmats2[k])
-        link_R[k] = Rk
-        link_o[k] = ok
-        link_c[k] = ok + Rk @ link.com_offset
-    return R, p_plat, p_m, link_R, link_o, link_c, axes_w
-
-
 def _parse_body(model, body):
     """Map a body id string to (kind, index)."""
     if body == "platform":
@@ -295,6 +261,18 @@ def _parse_body(model, body):
     raise InvalidBodyError(f"unknown body {body!r}")
 
 
+def _frame_of(a, kind, idx):
+    """(R_body, p_body) from one-configuration assembly a: the frame a local
+    point of the body is expressed in."""
+    if kind == "platform":
+        return a.R[0], a.p_platform[0]
+    if kind == "mover":
+        return a.R[0], a.p_movers[0, idx]
+    if kind == "link":
+        return a.link_R[0, idx], a.link_origin[0, idx]
+    return a.link_R[0, idx], a.link_com[0, idx]
+
+
 def body_position(model, q, body):
     """World position of a body reference point.
 
@@ -302,61 +280,37 @@ def body_position(model, q, body):
     ``linkK`` the joint-K origin and ``linkK_com`` the link-K center of mass.
     """
     kind, idx = _parse_body(model, body)
-    R, p_plat, p_m, _, link_o, link_c, _ = _frames(model, q)
-    if kind == "platform":
-        return p_plat
-    if kind == "mover":
-        return p_m[idx]
-    if kind == "link":
-        return link_o[idx]
-    return link_c[idx]
-
-
-def _body_frame(model, q, kind, idx, frames):
-    """(R_body, p_body) of the frame a local point is expressed in."""
-    R, p_plat, p_m, link_R, link_o, link_c, _ = frames
-    if kind == "platform":
-        return R, p_plat
-    if kind == "mover":
-        return R, p_m[idx]
-    if kind == "link":
-        return link_R[idx], link_o[idx]
-    return link_R[idx], link_c[idx]
+    return _frame_of(engine.assemble1(model, q), kind, idx)[1]
 
 
 def point_jacobian(model, q, body, local_point=(0.0, 0.0, 0.0)):
     """3xN Jacobian of the world position of ``local_point`` (expressed in the
     body frame) with respect to q, so point velocity = J @ qd."""
     kind, idx = _parse_body(model, body)
-    frames = _frames(model, q)
-    R, p_plat, p_m, link_R, link_o, link_c, axes_w = frames
-    Rb, pb = _body_frame(model, q, kind, idx, frames)
+    a = engine.assemble1(model, q)
+    Rb, pb = _frame_of(a, kind, idx)
     p = pb + Rb @ np.asarray(local_point, dtype=float)
 
-    N = model.dof
-    J = np.zeros((3, N))
+    J = np.zeros((3, model.dof))
     E = euler_rate_map(q[0], q[1], q[2])
     # The whole assembly rotates rigidly about the pivot: v = (E qd_p) x p.
     J[:, 0:3] = -skew(p) @ E
     if kind == "mover":
-        J[:, 3 + idx] = R[:, idx]
+        J[:, 3 + idx] = a.R[0, :, idx]
     if kind in ("link", "link_com"):
         for j in range(idx + 1):
-            J[:, 5 + j] = np.cross(axes_w[j], p - link_o[j])
+            J[:, 5 + j] = np.cross(a.axes_world[0, j], p - a.link_origin[0, j])
     return J
 
 
 def com_xy(model, q):
     """World x, y of the overall center of mass."""
-    _, p_plat, p_m, _, _, link_c, _ = _frames(model, q)
-    pts = np.vstack([p_plat, p_m, link_c.reshape(-1, 3)])
-    return (model._masses @ pts[:, 0:2]) / model.total_mass
+    return engine.assemble1(model, q).com[0]
 
 
 def com_jacobian(model, q):
     """2xN Jacobian of the overall CoM x, y: mass-weighted point Jacobians."""
-    from . import engine
-    return engine.assemble_min(model, np.asarray(q, dtype=float)[None])[4][0]
+    return engine.assemble1(model, q).Jcom[0]
 
 
 def model_to_dict(model):

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .control import Gains, Setpoint, make_controller
+from .control import (Gains, Setpoint, SingularCouplingError, balance_residual,
+                      make_controller)
 from .model import State, SystemModel, model_from_dict, model_to_dict, preset_paper
 from .spatial import BETA_GUARD
 
@@ -43,6 +44,17 @@ class ScenarioError(ValueError):
     """Scenario document failed validation."""
 
 
+def _whole(value, name):
+    """value as an int, or ScenarioError unless it is a whole number."""
+    try:
+        whole = float(value).is_integer()
+    except (TypeError, ValueError):
+        whole = False
+    if not whole:
+        raise ScenarioError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class Scenario:
     """One reproducible closed-loop experiment."""
@@ -65,13 +77,19 @@ class Scenario:
         self.qd0 = np.zeros(N) if self.qd0 is None else np.asarray(self.qd0, dtype=float)
         if self.q0.shape != (N,) or self.qd0.shape != (N,):
             raise ScenarioError(f"initial state must have {N} coordinates")
+        if not (np.all(np.isfinite(self.q0)) and np.all(np.isfinite(self.qd0))):
+            raise ScenarioError("initial state must be finite")
+        if abs(self.q0[1]) >= BETA_GUARD:
+            raise ScenarioError(
+                f"initial pitch {self.q0[1]:.6f} rad violates the gimbal guard")
         if not (0.0 < self.dt <= 0.01):
             raise ScenarioError(f"dt must lie in (0, 0.01], got {self.dt}")
-        if self.duration <= 0.0:
-            raise ScenarioError("duration must be positive")
-        if int(self.decimation) < 1:
+        if not (np.isfinite(self.duration) and self.duration > 0.0):
+            raise ScenarioError(
+                f"duration must be positive and finite, got {self.duration}")
+        self.decimation = _whole(self.decimation, "decimation")
+        if self.decimation < 1:
             raise ScenarioError("decimation must be a positive integer")
-        self.decimation = int(self.decimation)
         if self.controller != "free" and (self.gains is None or self.setpoint is None):
             raise ScenarioError(f"controller {self.controller!r} needs gains and setpoint")
         if (self.controller in ("remark2", "proposed")
@@ -90,6 +108,8 @@ class Scenario:
                 f"{self.model.n_links}-link arm")
         if self.tau_ext is not None:
             self.tau_ext = np.asarray(self.tau_ext, dtype=float).reshape(N)
+            if not np.all(np.isfinite(self.tau_ext)):
+                raise ScenarioError("tau_ext must be finite")
 
     def effective_setpoint(self):
         if self.setpoint is not None and self.setpoint.qm_star is not None:
@@ -119,7 +139,7 @@ class Trajectory:
 
     @property
     def n_links(self):
-        return (self.q.shape[1] - 5) if self.q.size else 0
+        return self.scenario.model.n_links
 
 
 @dataclass
@@ -184,20 +204,28 @@ def _stage(model, q, qd, controller, tau_ext):
     return ev, u, qdd, float(qd @ tau_act)
 
 
-def step(model, state, controller, dt):
+def _rk4(model, q, qd, controller, tau_ext, dt, a1, p1):
+    """One classical RK4 step from (q, qd), given the first stage's
+    acceleration a1 and actuated power p1; returns (q, qd, work increment)."""
+    qd2 = qd + 0.5 * dt * a1
+    _, _, a2, p2 = _stage(model, q + 0.5 * dt * qd, qd2, controller, tau_ext)
+    qd3 = qd + 0.5 * dt * a2
+    _, _, a3, p3 = _stage(model, q + 0.5 * dt * qd2, qd3, controller, tau_ext)
+    qd4 = qd + dt * a3
+    _, _, a4, p4 = _stage(model, q + dt * qd3, qd4, controller, tau_ext)
+    return (q + dt / 6.0 * (qd + 2.0 * qd2 + 2.0 * qd3 + qd4),
+            qd + dt / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+            dt / 6.0 * (p1 + 2.0 * p2 + 2.0 * p3 + p4))
+
+
+def step(model, state, controller, dt, tau_ext=None):
     """One RK4 step of the closed loop; raises StateEscapeError if the new
     state leaves the admissible region."""
     if isinstance(controller, str):
         controller = make_controller(controller)
     q, qd = state.q, state.qd
-    _, _, a1, _ = _stage(model, q, qd, controller, None)
-    _, _, a2, _ = _stage(model, q + 0.5 * dt * qd, qd + 0.5 * dt * a1, controller, None)
-    qd2 = qd + 0.5 * dt * a1
-    _, _, a3, _ = _stage(model, q + 0.5 * dt * qd2, qd + 0.5 * dt * a2, controller, None)
-    qd3 = qd + 0.5 * dt * a2
-    _, _, a4, _ = _stage(model, q + dt * qd3, qd + dt * a3, controller, None)
-    q_new = q + dt / 6.0 * (qd + 2.0 * qd2 + 2.0 * qd3 + (qd + dt * a3))
-    qd_new = qd + dt / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+    _, _, a1, p1 = _stage(model, q, qd, controller, tau_ext)
+    q_new, qd_new, _ = _rk4(model, q, qd, controller, tau_ext, dt, a1, p1)
     _check_state(q_new, qd_new, state.t + dt)
     return State(state.t + dt, q_new, qd_new)
 
@@ -258,19 +286,13 @@ def run(scenario):
                                    "at t=%.2f s (not enforced)", lim, k * dt)
             if k >= n_steps:
                 break
-            qd2 = qd + 0.5 * dt * a1
-            _, _, a2, p2 = _stage(model, q + 0.5 * dt * qd, qd2, controller, tau_ext)
-            qd3 = qd + 0.5 * dt * a2
-            _, _, a3, p3 = _stage(model, q + 0.5 * dt * qd2, qd3, controller, tau_ext)
-            qd4 = qd + dt * a3
-            _, _, a4, p4 = _stage(model, q + dt * qd3, qd4, controller, tau_ext)
-            q = q + dt / 6.0 * (qd + 2.0 * qd2 + 2.0 * qd3 + qd4)
-            qd = qd + dt / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-            work += dt / 6.0 * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
+            q, qd, dwork = _rk4(model, q, qd, controller, tau_ext, dt, a1, p1)
+            work += dwork
             k += 1
             _check_state(q, qd, k * dt)
     except (StateEscapeError, dynamics.IllConditionedTransformError,
-            dynamics.SingularMassError, np.linalg.LinAlgError) as exc:
+            dynamics.SingularMassError, SingularCouplingError,
+            np.linalg.LinAlgError) as exc:
         escaped = True
         reason = str(exc)
         logger.warning("run %s halted: %s", scenario.label or scenario.controller, reason)
@@ -356,6 +378,8 @@ def settling_time(traj, signal, band=None):
 
 def trailing_amplitude(traj, signal, window=DEFAULT_WINDOW):
     """Largest per-component peak-to-peak amplitude over the trailing window."""
+    if traj.t.size == 0:
+        return 0.0
     dev = signal_deviation(traj, signal)
     last = _window_slice(traj.t, traj.t[-1] - window, traj.t[-1] + 1.0)
     if not np.any(last):
@@ -411,6 +435,10 @@ def build_report(traj, bands=None, window=DEFAULT_WINDOW):
                  "relative_defect": defect / scale}
     else:
         audit = {"max_defect": 0.0, "scale": 1.0, "relative_defect": 0.0}
+    audit["within_tolerance"] = audit["relative_defect"] <= ENERGY_AUDIT_RTOL
+    if not audit["within_tolerance"]:
+        logger.warning("energy audit defect %.3e exceeds the %.0e tolerance",
+                       audit["relative_defect"], ENERGY_AUDIT_RTOL)
 
     return OutcomeReport(
         signals=signals,
@@ -498,7 +526,7 @@ def scenario_from_dict(doc):
     try:
         mdoc = doc["model"]
         if "preset_links" in mdoc:
-            model = preset_paper(int(mdoc["preset_links"]))
+            model = preset_paper(_whole(mdoc["preset_links"], "preset_links"))
         else:
             model = model_from_dict(mdoc)
         controller = doc["controller"]
@@ -522,11 +550,10 @@ def scenario_from_dict(doc):
         if isinstance(exc, ScenarioError):
             raise
         raise ScenarioError(f"invalid scenario document: {exc}") from exc
-    if scenario.setpoint is not None and scenario.setpoint.qm_star is not None:
-        from . import engine
-        q = np.concatenate([[0.0, 0.0, scenario.setpoint.gamma_des],
-                            scenario.setpoint.qm_star, scenario.setpoint.qr_des])
-        res = float(np.linalg.norm(engine.assemble1(model, q).g[0][0:2]))
+    sp = scenario.setpoint
+    if sp is not None and sp.qm_star is not None:
+        res = float(np.linalg.norm(
+            balance_residual(model, sp.qm_star, sp.qr_des, sp.gamma_des)))
         if res >= 1e-10:
             raise ScenarioError(
                 f"setpoint q_m* does not balance gravity: |g_phi| = {res:.3e}")

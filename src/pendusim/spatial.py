@@ -23,38 +23,57 @@ def skew(v):
                      [-y, x, 0.0]])
 
 
-def rot_rpy(alpha, beta, gamma):
-    """Rotation matrix Rz(gamma) @ Ry(beta) @ Rx(alpha)."""
+def rpy_frames(alpha, beta, gamma):
+    """Rotation R = Rz(gamma) @ Ry(beta) @ Rx(alpha) and Euler-rate map E.
+
+    E maps (d/dt)(alpha, beta, gamma) to world angular velocity; its columns
+    are the world-frame axes the successive elemental rotations act about:
+    [Rz Ry ex | Rz ey | ez].  For the Z-Y-X composition it does not depend on
+    roll.  Array angles give stacks of shape (..., 3, 3).  No gimbal guard
+    here: batched finite-difference callers may straddle it.
+    """
+    shape = np.broadcast_shapes(np.shape(alpha), np.shape(beta), np.shape(gamma))
     sa, ca = np.sin(alpha), np.cos(alpha)
     sb, cb = np.sin(beta), np.cos(beta)
     sg, cg = np.sin(gamma), np.cos(gamma)
-    return np.array([
-        [cg * cb, cg * sb * sa - sg * ca, cg * sb * ca + sg * sa],
-        [sg * cb, sg * sb * sa + cg * ca, sg * sb * ca - cg * sa],
-        [-sb, cb * sa, cb * ca],
-    ])
+
+    R = np.empty(shape + (3, 3))
+    R[..., 0, 0] = cg * cb
+    R[..., 0, 1] = cg * sb * sa - sg * ca
+    R[..., 0, 2] = cg * sb * ca + sg * sa
+    R[..., 1, 0] = sg * cb
+    R[..., 1, 1] = sg * sb * sa + cg * ca
+    R[..., 1, 2] = sg * sb * ca - cg * sa
+    R[..., 2, 0] = -sb
+    R[..., 2, 1] = cb * sa
+    R[..., 2, 2] = cb * ca
+
+    E = np.zeros(shape + (3, 3))
+    E[..., 0, 0] = cb * cg
+    E[..., 1, 0] = cb * sg
+    E[..., 2, 0] = -sb
+    E[..., 0, 1] = -sg
+    E[..., 1, 1] = cg
+    E[..., 2, 2] = 1.0
+    return R, E
+
+
+def check_pitch(beta):
+    """Raise GimbalLockError when |beta| >= pi/2 - 1e-6 (E becomes singular)."""
+    if abs(beta) >= BETA_GUARD:
+        raise GimbalLockError(f"pitch {beta:.6f} rad is within 1e-6 of +-pi/2")
+
+
+def rot_rpy(alpha, beta, gamma):
+    """Rotation matrix Rz(gamma) @ Ry(beta) @ Rx(alpha)."""
+    return rpy_frames(alpha, beta, gamma)[0]
 
 
 def euler_rate_map(alpha, beta, gamma=0.0):
-    """Matrix E mapping (d/dt)(alpha, beta, gamma) to world angular velocity.
-
-    Columns are the world-frame axes the successive elemental rotations act
-    about: [Rz Ry ex | Rz ey | ez].  For the Z-Y-X composition this map does
-    not depend on roll; `alpha` is accepted so callers can pass the attitude
-    symmetrically and so the gimbal guard lives in one place.
-
-    Raises GimbalLockError when |beta| >= pi/2 - 1e-6 (E becomes singular).
-    """
-    del alpha
-    if abs(beta) >= BETA_GUARD:
-        raise GimbalLockError(f"pitch {beta:.6f} rad is within 1e-6 of +-pi/2")
-    sb, cb = np.sin(beta), np.cos(beta)
-    sg, cg = np.sin(gamma), np.cos(gamma)
-    return np.array([
-        [cb * cg, -sg, 0.0],
-        [cb * sg, cg, 0.0],
-        [-sb, 0.0, 1.0],
-    ])
+    """Matrix E mapping (d/dt)(alpha, beta, gamma) to world angular velocity
+    (see rpy_frames), behind the gimbal guard."""
+    check_pitch(beta)
+    return rpy_frames(alpha, beta, gamma)[1]
 
 
 def rotation_about(axis, angle):

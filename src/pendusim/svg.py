@@ -14,15 +14,16 @@ def _fmt(v):
 def write_svg(path, title, t, series, ylabel=""):
     """Write one chart with a polyline per (label, values) pair in series."""
     t = list(map(float, t))
-    lo = min((min(vals) for _, vals in series), default=0.0)
-    hi = max((max(vals) for _, vals in series), default=1.0)
+    lo = min((min(vals) for _, vals in series if len(vals)), default=0.0)
+    hi = max((max(vals) for _, vals in series if len(vals)), default=1.0)
     if hi - lo < 1e-12:
         pad = max(1e-6, abs(hi) * 0.1)
         lo, hi = lo - pad, hi + pad
     else:
         pad = 0.05 * (hi - lo)
         lo, hi = lo - pad, hi + pad
-    t0, t1 = t[0], t[-1] if t[-1] > t[0] else t[0] + 1.0
+    t0 = t[0] if t else 0.0
+    t1 = t[-1] if t and t[-1] > t0 else t0 + 1.0
     pw = WIDTH - MARGIN_L - MARGIN_R
     ph = HEIGHT - MARGIN_T - MARGIN_B
 

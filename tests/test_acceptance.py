@@ -227,7 +227,7 @@ def test_criterion_9_equilibrium_grid_oracle(desk):
             Q = np.zeros((len(pts), desk.dof))
             Q[:, 3:5] = pts
             Q[:, 5:] = qr_des
-            gq = engine.assemble_min(desk, Q)[1][:, 0:2]
+            gq = engine.assemble(desk, Q).g[:, 0:2]
             return pts[np.argmin(np.linalg.norm(gq, axis=1))]
 
         coarse = grid_argmin(np.array([-0.8, -0.8]), np.array([0.8, 0.8]))

@@ -315,7 +315,7 @@ def test_equilibrium_solver_paper7_grid_oracle():
     Q[:, 5:7] = [np.pi / 4, np.pi / 2]
     mesh = np.array(np.meshgrid(grid, grid, indexing="ij")).reshape(2, -1).T
     Q[:, 3:5] = mesh
-    res = np.linalg.norm(engine.assemble_min(model, Q)[1][:, 0:2], axis=1)
+    res = np.linalg.norm(engine.assemble(model, Q).g[:, 0:2], axis=1)
     best = mesh[np.argmin(res)]
     assert np.linalg.norm(best - qm) < 0.02  # within one cell of the coarse grid
 

@@ -252,13 +252,3 @@ def test_free_oscillation_matches_linearized_frequency(desk):
     w_sim = 2.0 * np.pi / periods.mean()
     assert w_sim == pytest.approx(w_lin.min(), rel=0.01)
 
-
-def test_engine_parity_fast_vs_reference(desk):
-    from pendusim import engine
-    rng = np.random.default_rng(21)
-    for model in (desk, preset_paper(7)):
-        Q = np.array([random_state(rng, model)[0] for _ in range(30)])
-        fast = engine.assemble_min(model, Q)
-        ref = engine.assemble(model, Q)
-        for a, b in zip(fast, (ref.M, ref.g, ref.V, ref.com, ref.Jcom)):
-            assert np.abs(a - b).max() < 1e-12 * max(1.0, np.abs(b).max())

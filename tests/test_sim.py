@@ -1,14 +1,18 @@
+import dataclasses
 import json
+import logging
 
 import numpy as np
 import pytest
+from pendusim import cli, control
 from pendusim.control import Gains, Setpoint, solve_equilibrium_qm
-from pendusim.model import State, preset_paper
+from pendusim.model import State, SystemModel, preset_paper
 from pendusim.sim import (CONVERGED, DIVERGED, INCONCLUSIVE, LIMIT_CYCLE,
-                          Scenario, ScenarioError, Trajectory,
+                          Scenario, ScenarioError, Trajectory, build_report,
                           classify, fit_decay_rate, load_scenario, run,
                           save_scenario, scenario_from_dict, scenario_to_dict,
                           settling_time, step, write_csv, read_csv)
+from pendusim.spatial import BETA_GUARD
 
 QR_DES = np.array([np.pi / 4, np.pi / 2, 0.0])
 
@@ -47,6 +51,21 @@ def test_scenario_validation(desk):
         Scenario(model=desk, controller="proposed", dt=1e-3, duration=1.0)
     with pytest.raises(ScenarioError):
         Scenario(model=desk, controller="free", q0=np.zeros(3))
+    bad_q = np.zeros(desk.dof)
+    bad_q[0] = np.nan
+    pitched = np.zeros(desk.dof)
+    pitched[1] = BETA_GUARD
+    for bad in (dict(duration=np.nan), dict(duration=np.inf), dict(dt=np.nan),
+                dict(q0=bad_q), dict(qd0=bad_q), dict(tau_ext=bad_q),
+                dict(q0=pitched), dict(q0=-pitched), dict(decimation=1.7)):
+        with pytest.raises(ScenarioError):
+            Scenario(model=desk, controller="free",
+                     **{"dt": 1e-3, "duration": 1.0, **bad})
+    assert Scenario(model=desk, controller="free", decimation=2.0).decimation == 2
+    doc = {"model": {"preset_links": 3.9}, "controller": "free",
+           "dt": 1e-3, "duration": 1.0}
+    with pytest.raises(ScenarioError):
+        scenario_from_dict(doc)
 
 
 def test_classify_decaying_exponential(desk):
@@ -154,6 +173,23 @@ def test_step_single(desk):
     assert out.q[0] != st.q[0]
 
 
+def test_step_matches_run(desk):
+    """step and run advance the state through the same RK4 update,
+    disturbance included."""
+    q0 = np.zeros(desk.dof)
+    q0[0] = 0.05
+    tau_ext = np.zeros(desk.dof)
+    tau_ext[3] = 2.0
+    sc = Scenario(model=desk, controller="free", q0=q0, dt=1e-3,
+                  duration=3e-3, decimation=1, tau_ext=tau_ext)
+    traj, _ = run(sc)
+    st = State(0.0, q0, np.zeros(desk.dof))
+    for k in range(1, 4):
+        st = step(desk, st, "free", 1e-3, tau_ext=tau_ext)
+        assert np.array_equal(st.q, traj.q[k])
+        assert np.array_equal(st.qd, traj.qd[k])
+
+
 def test_state_escape_halts_gracefully(desk):
     qd0 = np.zeros(desk.dof)
     qd0[2] = 600.0  # yaw coasts past the 1e3 coordinate bound
@@ -252,3 +288,60 @@ def test_constant_disturbance_hook(desk):
                   decimation=5, tau_ext=tau_ext)
     traj, _ = run(sc)
     assert traj.q[-1, 3] > 1e-3  # the pushed mover moved
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise AssertionError(f"non-strict JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_coupling_breakdown_ends_in_report(desk, setpoint, monkeypatch):
+    """A controller breakdown at the very first stage halts the run into a
+    diverged report instead of raising."""
+    monkeypatch.setattr(control, "M_PHIM_COND_LIMIT", 0.5)
+    sc = Scenario(model=desk, controller="motivating", gains=Gains(),
+                  setpoint=setpoint, dt=1e-2, duration=1.0, decimation=1)
+    traj, rep = run(sc)
+    assert traj.escaped and rep.escaped
+    assert "coupling" in rep.escape_reason
+    assert traj.t.size == 0
+    assert set(rep.signals) == {"phi", "gamma", "qm", "qr", "xc"}
+    for outcome in rep.signals.values():
+        assert outcome.classification == DIVERGED
+    _strict_json(json.dumps(rep.to_dict()))
+
+
+def test_halt_before_first_sample_writes_report(desk, tmp_path):
+    """A massless, inertia-free last link makes M singular everywhere: the
+    run halts before its first logged sample and still writes every output."""
+    last = desk.links[-1]
+    links = desk.links[:-1] + (dataclasses.replace(
+        last, mass=0.0, inertia=np.zeros((3, 3))),)
+    model = SystemModel(platform=desk.platform, movers=desk.movers, links=links)
+    path = tmp_path / "singular.json"
+    save_scenario(Scenario(model=model, controller="free", dt=1e-2,
+                           duration=1.0, label="singular"), path)
+    out = tmp_path / "out"
+    code = cli.main(["run", "--scenario", str(path), "--out", str(out), "--svg"])
+    assert code == 0
+    report = _strict_json((out / "report.json").read_text())
+    assert report["escaped"] is True
+    assert set(report["signals"]) == {"phi", "gamma", "qm", "qr", "xc"}
+    for outcome in report["signals"].values():
+        assert outcome["classification"] == DIVERGED
+    assert read_csv(out / "trajectory.csv")["t"].size == 0
+    for name in ("qr_gamma.svg", "xc.svg", "qm.svg", "phi.svg"):
+        assert (out / name).read_text().startswith("<svg")
+
+
+def test_energy_audit_tolerance_flag(desk, caplog):
+    t = np.linspace(0.0, 30.0, 601)
+    traj = synthetic_traj(desk, t, {})
+    assert build_report(traj).energy_audit["within_tolerance"] is True
+    traj.e_pot = 1e-3 * t   # energy drifts with no actuated work
+    with caplog.at_level(logging.WARNING, logger="pendusim.sim"):
+        audit = build_report(traj).energy_audit
+    assert audit["relative_defect"] > 1e-5
+    assert audit["within_tolerance"] is False
+    assert any("energy audit" in r.message for r in caplog.records)
