@@ -17,6 +17,7 @@ dynamics, and four designs of it are provided:
 """
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,7 +166,7 @@ def outer_refs(state, setpoint, gains):
 
 def _solve_phim(M_phim, rhs):
     smax_sq, smin_sq = dynamics.singular_values_sq2(M_phim)
-    cond = np.inf if smin_sq <= 0.0 else np.sqrt(smax_sq) / np.sqrt(smin_sq)
+    cond = math.inf if smin_sq <= 0.0 else math.sqrt(smax_sq) / math.sqrt(smin_sq)
     if cond > M_PHIM_COND_LIMIT:
         raise SingularCouplingError(
             f"roll/pitch-to-mover coupling condition {cond:.3e} "
@@ -326,7 +327,11 @@ class Controller:
             qmdd = qm_ref_remark2(ev, ev, sp, gains)
         else:
             qmdd = qm_ref_proposed(ev, ev, sp, gains)
-        return _pfl(ev, np.concatenate([[gdd], qmdd, qrdd]))
+        ydd_ref = np.empty(ev.model.dof - 2)
+        ydd_ref[0] = gdd
+        ydd_ref[1:3] = qmdd
+        ydd_ref[3:] = qrdd
+        return _pfl(ev, ydd_ref)
 
 
 def make_controller(name, gains=None, setpoint=None):

@@ -12,6 +12,9 @@ so gravity vanishes for the transformed internal coordinates exactly at the
 hanging target.
 """
 
+import functools
+import math
+
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
@@ -45,10 +48,36 @@ def tau_from_u(u):
 
 def singular_values_sq2(A):
     """Squared singular values (largest, smallest) of a 2x2 block, closed form."""
-    t = float(A[0, 0]**2 + A[0, 1]**2 + A[1, 0]**2 + A[1, 1]**2)
-    d = float(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])
-    root = np.sqrt(max(t * t - 4.0 * d * d, 0.0))
+    (a, b), (c, d) = A.tolist()
+    t = a**2 + b**2 + c**2 + d**2
+    det = a * d - b * c
+    root = math.sqrt(max(t * t - 4.0 * det * det, 0.0))
     return 0.5 * (t + root), 0.5 * (t - root)
+
+
+@functools.lru_cache(maxsize=None)
+def _fd_stencil(N, need_transform, h):
+    """Offsets of an Eval batch over N coordinates (shared; read only): row 0
+    is the state, rows 1 + 2j and 2 + 2j step the j-th perturbed coordinate
+    (all but yaw, whose dM/dq slice is analytically zero) by +h and -h, and
+    two trailing rows are left for the +-h qd steps of the transform.
+    Unperturbed entries hold -0.0, the exact additive identity, so
+    q + offsets reproduces q bit for bit there (signed zeros included)."""
+    m = N - 1
+    D = np.full((1 + 2 * m + (2 if need_transform else 0), N), -0.0)
+    for j, i in enumerate([0, 1] + list(range(3, N))):
+        D[1 + 2 * j, i] = h
+        D[2 + 2 * j, i] = -h
+    return D
+
+
+@functools.lru_cache(maxsize=None)
+def _act_rhs(N):
+    """[B | 0]: the actuation map with an empty column for the bias (shared;
+    read only)."""
+    rhs = np.zeros((N, N - 1))
+    rhs[2:, :N - 2] = np.eye(N - 2)
+    return rhs
 
 
 class Eval:
@@ -69,14 +98,9 @@ class Eval:
         q = np.asarray(q, dtype=float)
         qd = np.asarray(qd, dtype=float)
         N = model.dof
-        fd_idx = [0, 1] + list(range(3, N))
-        m = len(fd_idx)
-        B = 1 + 2 * m + (2 if need_transform else 0)
-        Qb = np.repeat(q[None, :], B, axis=0)
         h = FD_STEP
-        for j, i in enumerate(fd_idx):
-            Qb[1 + 2 * j, i] += h
-            Qb[2 + 2 * j, i] -= h
+        Qb = q + _fd_stencil(N, need_transform, h)
+        m = N - 1
         if need_transform:
             Qb[-2] += h * qd
             Qb[-1] -= h * qd
@@ -94,19 +118,22 @@ class Eval:
         self._act = None
 
         dM = np.zeros((N, N, N))
-        dM[fd_idx] = (a.M[1:1 + 2 * m:2] - a.M[2:2 + 2 * m:2]) / (2.0 * h)
+        dMp = (a.M[1:1 + 2 * m:2] - a.M[2:2 + 2 * m:2]) / (2.0 * h)
+        dM[0:2] = dMp[0:2]
+        dM[3:] = dMp[2:]
         self.dM = dM
         # Christoffel contraction; dM[i] is symmetric, so the second and
-        # third terms are transposes of one contraction.
-        Mdot = np.tensordot(qd, dM, axes=(0, 0))
-        S = np.tensordot(dM, qd, axes=(2, 0))
+        # third terms are transposes of one contraction.  The two products
+        # are the reshaped dots np.tensordot would form, without its
+        # per-call axis bookkeeping.
+        Mdot = np.dot(qd.reshape(1, N), dM.reshape(N, N * N)).reshape(N, N)
+        S = np.dot(dM.reshape(N * N, N), qd.reshape(N, 1)).reshape(N, N)
         self.C = 0.5 * (Mdot + S.T - S)
         self.bias = self.C @ qd + self.g
 
         if need_transform:
-            T = np.zeros((N, N))
+            T = np.eye(N)
             T[0:2] = self.Jcom
-            T[np.arange(2, N), np.arange(2, N)] = 1.0
             Tdot = np.zeros((N, N))
             Tdot[0:2] = (a.Jcom[-2] - a.Jcom[-1]) / (2.0 * h)
             self.T = T
@@ -114,7 +141,7 @@ class Eval:
             # T is block-triangular [[A, D], [0, I]]; its conditioning is
             # governed by the 2x2 attitude block A, estimated cheaply here.
             _, smin_sq = singular_values_sq2(T[0:2, 0:2])
-            smin = np.sqrt(max(smin_sq, 0.0))
+            smin = math.sqrt(max(smin_sq, 0.0))
             scale = max(np.abs(T).max(), 1.0)
             self.cond = np.inf if smin == 0.0 else scale / smin
             if self.cond > COND_LIMIT:
@@ -187,8 +214,7 @@ class Eval:
         feedback-linearizing input both read from it."""
         if self._act is None:
             N = self.M.shape[0]
-            rhs = np.zeros((N, N - 1))
-            rhs[2:, :N - 2] = np.eye(N - 2)
+            rhs = _act_rhs(N).copy()
             rhs[:, N - 2] = self.bias
             try:
                 self._act = np.linalg.solve(self.M, rhs)

@@ -11,6 +11,8 @@ Bodies are ordered: platform, mover 1, mover 2, link 1 .. link n (CoM).
 Movers are point masses and carry no rotational inertia.
 """
 
+import functools
+
 import numpy as np
 
 from . import spatial
@@ -18,16 +20,101 @@ from . import spatial
 _EYE3 = np.eye(3)
 
 
-def _cross(a, b):
-    """Componentwise cross product over the last axis; avoids the axis
-    bookkeeping overhead of np.cross for the small arrays used here."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    out[..., 0] = a1 * b2 - a2 * b1
-    out[..., 1] = a2 * b0 - a0 * b2
-    out[..., 2] = a0 * b1 - a1 * b0
-    return out
+class _Layout:
+    """Index tables of one (link count, batch size) for assemble."""
+
+    __slots__ = ("gP", "gO", "gA", "G", "rod_trig", "rod_const", "eye",
+                 "target", "gather", "n_cross", "mask", "w_mask")
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(n, B):
+    """Tables that let assemble build B configurations of an n-link model
+    with a few flat array operations.
+
+    The point table S holds 3-vectors as (group, batch, xyz): the rows of E,
+    the body CoMs, the joint origins, the joint axes and a zero group.
+    Every point-Jacobian entry that is a cross product,
+
+        (a x (v - v0))[c] = a[c+1] (v - v0)[c+2] - a[c+2] (v - v0)[c+1],
+
+    is named by the S indices of its six factors.  The attitude columns are
+    E[:, col] x (p_body - 0), the arm columns axis_j x (p_i - origin_j).
+    Subtracting the zero group (+0.0 is the exact identity of subtraction)
+    and multiplying by a mask of 1.0, or 0.0 above the chain's diagonal,
+    keeps every entry, signed zeros included, equal to the blockwise
+    products it replaces.
+    """
+    nb, N = n + 3, n + 5
+    lay = _Layout()
+    lay.gP = 3                  # body CoMs, after the three rows of E
+    lay.gO = lay.gP + nb        # joint origins
+    lay.gA = lay.gO + n         # joint axes
+    g_zero = lay.gA + n
+    lay.G = g_zero + 1
+    b = np.arange(B)
+
+    def at(groups, comps):
+        """Flat S indices of (groups[i], comps[i]) for every batch row."""
+        return (groups[:, None] * B + b) * 3 + comps[:, None]
+
+    # Rodrigues matrices of every joint, flat in (joint, batch, entry) order:
+    # the joint angle's sine and cosine in a (sin|cos, coordinate, batch)
+    # trig table, and K, K^2 in the model's (2, joint, entry) factors.
+    k, bb, e = np.meshgrid(np.arange(n), b, np.arange(9), indexing="ij")
+    lay.rod_trig = np.stack([(5 + k) * B + bb, (N + 5 + k) * B + bb]).reshape(2, -1)
+    lay.rod_const = np.stack([k * 9 + e, (n + k) * 9 + e]).reshape(2, -1)
+    lay.eye = np.tile(_EYE3.ravel(), n * B)
+
+    # Vectors as (groups, comps) of their three components.
+    xyz = np.arange(3)
+
+    def column(c):
+        return xyz, np.full(3, c)
+
+    def point(g):
+        return np.full(3, g), xyz
+
+    entries = []                # (body, Jacobian column, a, v, v0, mask)
+    for body in range(nb):
+        for col in range(3):
+            entries.append((body, col, column(col), point(lay.gP + body),
+                            point(g_zero), 1.0))
+    for i in range(n):
+        for j in range(n):
+            entries.append((3 + i, 5 + j, point(lay.gA + j), point(lay.gP + 3 + i),
+                            point(lay.gO + j), 1.0 if j <= i else 0.0))
+    nxt, prv = np.array([1, 2, 0]), np.array([2, 0, 1])
+    target, mask, factors = [], [], [[] for _ in range(6)]
+    for body, col, a, v, v0, m in entries:
+        target.append(((b * nb + body) * 3 + xyz[:, None]) * N + col)
+        mask.append(np.full((3, B), m))
+        for f, (vec, perm) in zip(factors, [(a, nxt), (a, prv), (v, nxt),
+                                            (v0, nxt), (v, prv), (v0, prv)]):
+            f.append(at(vec[0][perm], vec[1][perm]))
+    lay.target = np.concatenate(target).ravel()
+    lay.mask = np.concatenate(mask).ravel()
+    lay.n_cross = lay.target.size
+
+    # Angular Jacobian entries, in (batch, body, xyz, column) order: E for
+    # the platform and every link, the masked joint axes for the links, the
+    # zero group elsewhere.
+    w_g = np.full((nb, 3, N), g_zero)
+    w_c = np.zeros((nb, 3, N), dtype=np.intp)
+    w_mask = np.ones((nb, 3, N))
+    for body in [0] + list(range(3, nb)):
+        w_g[body, :, 0:3] = xyz[:, None]
+        w_c[body, :, 0:3] = xyz
+    for i in range(n):
+        w_g[3 + i, :, 5:] = lay.gA + np.arange(n)
+        w_c[3 + i, :, 5:] = xyz[:, None]
+        w_mask[3 + i, :, 5:] = np.tril(np.ones((n, n)))[i]
+    w_src = (w_g[None] * B + b[:, None, None, None]) * 3 + w_c[None]
+    lay.w_mask = np.tile(w_mask.ravel(), B)
+    # One gather serves every factor: the six cross-product factor runs, then Jw.
+    lay.gather = np.concatenate([np.concatenate(f).ravel() for f in factors]
+                                + [w_src.ravel()])
+    return lay
 
 
 class Assembled:
@@ -39,7 +126,13 @@ class Assembled:
 
 
 def assemble(model, Q):
-    """Assemble dynamics quantities for a batch of configurations Q (B, N)."""
+    """Assemble dynamics quantities for a batch of configurations Q (B, N).
+
+    The batch is small (one Eval's finite-difference stencil), so the cost is
+    the number and shape of array operations rather than their size: the
+    per-body kinematics run on contiguous (item, batch, xyz) blocks and the
+    Jacobians are gathered in a few flat operations (see _layout).
+    """
     Q = np.asarray(Q, dtype=float)
     B, N = Q.shape
     n = model.n_links
@@ -47,96 +140,101 @@ def assemble(model, Q):
     if N != model.dof:
         raise ValueError(f"expected {model.dof} coordinates, got {N}")
     plat = model.platform
-    L = plat.wire_length
+    lay = _layout(n, B)
 
-    R, E = spatial.rpy_frames(Q[:, 0], Q[:, 1], Q[:, 2])
+    trig = np.empty((2, N, B))
+    np.sin(Q.T, out=trig[0])
+    np.cos(Q.T, out=trig[1])
+    R, E = spatial.rpy_frames_sc(trig[0, 0:3], trig[1, 0:3])
+    ex, ez = R[:, :, 0], R[:, :, 2]
 
-    ex, ey, ez = R[:, :, 0], R[:, :, 1], R[:, :, 2]
-    p_plat = -L * ez
-    rail = plat.rail_height
-    p_m = np.empty((B, 2, 3))
-    p_m[:, 0] = p_plat + Q[:, 3, None] * ex + rail * ez
-    p_m[:, 1] = p_plat + Q[:, 4, None] * ey + rail * ez
+    S = np.zeros((lay.G, B, 3))
+    S[0:3] = E.transpose(1, 0, 2)
 
+    # Body CoM positions: platform, movers 1-2, link CoMs.
+    p_bodies = S[lay.gP:lay.gO]
+    p_plat = np.multiply(-plat.wire_length, ez, out=p_bodies[0])
+    np.add(p_plat + Q[:, 3:5].T[:, :, None] * R[:, :, 0:2].transpose(2, 0, 1),
+           plat.rail_height * ez, out=p_bodies[1:3])
+
+    # Frame chain: platform, then each link's rotation through Rodrigues
+    # matrices built for all joints at once (indexed [k, b]).
+    frames = np.empty((n + 1, B, 3, 3))
+    frames[0] = R
     if n:
-        sth, cth = np.sin(Q[:, 5:]), np.cos(Q[:, 5:])
-        link_R = np.empty((B, n, 3, 3))
-        link_o = np.empty((B, n, 3))
-        link_c = np.empty((B, n, 3))
-        axes_w = np.empty((B, n, 3))
-        Rk = R
-        ok = p_plat + R @ plat.mount_offset
+        sc = trig.reshape(-1).take(lay.rod_trig)
+        K = model._rodrigues.reshape(-1).take(lay.rod_const)
+        A = lay.eye + sc[0] * K[0]
+        A += (1.0 - sc[1]) * K[1]
+        A = A.reshape(n, B, 3, 3)
         for k in range(n):
-            ok = ok + Rk @ model._offsets[k]
-            axes_w[:, k] = Rk @ model._axes[k]
-            A = (_EYE3 + sth[:, k, None, None] * model._kmats[k]
-                 + (1.0 - cth[:, k, None, None]) * model._kmats2[k])
-            Rk = Rk @ A
-            link_R[:, k] = Rk
-            link_o[:, k] = ok
-            link_c[:, k] = ok + Rk @ model._coms[k]
-        p_all = np.concatenate([p_plat[:, None], p_m, link_c], axis=1)
-    else:
-        link_R = np.zeros((B, 0, 3, 3))
-        link_o = np.zeros((B, 0, 3))
-        link_c = np.zeros((B, 0, 3))
-        axes_w = np.zeros((B, 0, 3))
-        p_all = np.concatenate([p_plat[:, None], p_m], axis=1)
+            np.matmul(frames[k], A[k], out=frames[k + 1])
+    # World images of each frame's body-fixed vectors, indexed [frame, vector,
+    # b], then joint origins by accumulating offsets down the chain from the
+    # mount point.
+    P = (frames[:, None] @ model._frame_vecs[:, :, None])[..., 0]
+    origins = S[lay.gO:lay.gA]
+    origin = p_plat + P[0, 0]
+    for k in range(n):
+        origin = np.add(origin, P[k, 1], out=origins[k])
+    np.add(origins, P[1:, 0], out=p_bodies[3:])
+    S[lay.gA:lay.gA + n] = P[:n, 2]
 
-    # Point Jacobians of every body CoM.  Attitude columns come from rigid
-    # rotation about the pivot: v = (E qd_p) x p, column c = E[:, c] x p.
+    # Point Jacobians of every body CoM: attitude columns E[:, c] x p (rigid
+    # rotation about the pivot), arm columns axis_j x (p - origin_j) on and
+    # below the chain's diagonal, and the movers' rail directions.
+    F = S.reshape(-1).take(lay.gather)
+    L = lay.n_cross
+    an, ap, bn, bn0, bp, bp0 = (F[i * L:(i + 1) * L] for i in range(6))
+    arm = an * (bp - bp0)
+    arm -= ap * (bn - bn0)
+    arm *= lay.mask
     Jv = np.zeros((B, nb, 3, N))
-    att = _cross(E.transpose(0, 2, 1)[:, None, :, :], p_all[:, :, None, :])
-    Jv[:, :, :, 0:3] = att.swapaxes(2, 3)
+    Jv.reshape(-1)[lay.target] = arm
     Jv[:, 1, :, 3] = ex
-    Jv[:, 2, :, 4] = ey
-    if n:
-        diff = link_c[:, :, None, :] - link_o[:, None, :, :]
-        arm = _cross(axes_w[:, None, :, :], diff)
-        arm *= model._tril[None, :, :, None]
-        Jv[:, 3:, :, 5:] = arm.swapaxes(2, 3)
+    Jv[:, 2, :, 4] = R[:, :, 1]
 
     # Angular Jacobians for the rotating bodies (platform and links).
-    Jw = np.zeros((B, nb, 3, N))
-    Jw[:, 0, :, 0:3] = E
-    if n:
-        Jw[:, 3:, :, 0:3] = E[:, None]
-        aw = axes_w[:, None, :, :] * model._tril[None, :, :, None]
-        Jw[:, 3:, :, 5:] = aw.swapaxes(2, 3)
+    Jw = (F[6 * L:] * lay.w_mask).reshape(B, nb, 3, N)
 
+    # World inertias of the rotating bodies, platform and links in one pass
+    # over the frame chain.
+    I_rot = frames @ model._frame_inertias[:, None] @ frames.transpose(0, 1, 3, 2)
     Iw = np.zeros((B, nb, 3, 3))
-    Iw[:, 0] = R @ plat.inertia @ R.transpose(0, 2, 1)
-    if n:
-        Iw[:, 3:] = link_R @ model._link_inertias @ link_R.transpose(0, 1, 3, 2)
+    Iw[:, 0] = I_rot[0]
+    Iw[:, 3:] = I_rot[1:].transpose(1, 0, 2, 3)
 
     masses = model._masses
-    Wv = Jv * masses[None, :, None, None]
+    Wv = Jv * model._jacobian_masses
     IwJw = Iw @ Jw
     Jv_f = Jv.reshape(B, nb * 3, N)
     Wv_f = Wv.reshape(B, nb * 3, N)
     Jw_f = Jw.reshape(B, nb * 3, N)
     IwJw_f = IwJw.reshape(B, nb * 3, N)
     M = Jv_f.transpose(0, 2, 1) @ Wv_f + Jw_f.transpose(0, 2, 1) @ IwJw_f
-    M = 0.5 * (M + M.transpose(0, 2, 1))
+    M = np.add(M, M.transpose(0, 2, 1))
+    M *= 0.5
 
     g0 = model.gravity
+    Wsum = Wv.sum(axis=1)
+    p_all = p_bodies.transpose(1, 0, 2)
     out = Assembled()
     out.R = R
     out.E = E
     out.p_platform = p_plat
-    out.p_movers = p_m
-    out.link_R = link_R
-    out.link_origin = link_o
-    out.link_com = link_c
-    out.axes_world = axes_w
+    out.p_movers = p_all[:, 1:3]
+    out.link_R = frames[1:].transpose(1, 0, 2, 3)
+    out.link_origin = origins.transpose(1, 0, 2)
+    out.link_com = p_all[:, 3:]
+    out.axes_world = S[lay.gA:lay.gA + n].transpose(1, 0, 2)
     out.p_bodies = p_all
     out.Jv = Jv
     out.Jw = Jw
     out.M = M
-    out.g = g0 * Wv[:, :, 2, :].sum(axis=1)
+    out.g = g0 * Wsum[:, 2]
     out.V = g0 * (p_all[:, :, 2] @ masses)
     out.com = (p_all[:, :, 0:2].transpose(0, 2, 1) @ masses) / model.total_mass
-    out.Jcom = Wv[:, :, 0:2, :].sum(axis=1) / model.total_mass
+    out.Jcom = Wsum[:, 0:2] / model.total_mass
     return out
 
 

@@ -114,24 +114,34 @@ class SystemModel:
         object.__setattr__(self, "links", tuple(self.links))
         if self.gravity <= 0.0:
             raise ValueError("gravity must be positive")
-        # Packed per-link arrays consumed by the batched evaluation engine.
+        # Packed arrays consumed by the batched evaluation engine.
         n = len(self.links)
         axes = np.array([l.axis for l in self.links]).reshape(n, 3)
         kmats = np.array([skew(a) for a in axes]).reshape(n, 3, 3)
-        object.__setattr__(self, "_axes", axes)
-        object.__setattr__(self, "_kmats", kmats)
-        object.__setattr__(self, "_kmats2", np.einsum("kij,kjl->kil", kmats, kmats))
-        object.__setattr__(self, "_offsets",
-                           np.array([l.parent_offset for l in self.links]).reshape(n, 3))
-        object.__setattr__(self, "_coms",
-                           np.array([l.com_offset for l in self.links]).reshape(n, 3))
-        object.__setattr__(self, "_link_inertias",
-                           np.array([l.inertia for l in self.links]).reshape(n, 3, 3))
+        # Rodrigues factors K and K^2 of each joint: A = I + sin K + (1 - cos) K^2.
+        object.__setattr__(self, "_rodrigues",
+                           np.stack([kmats, np.einsum("kij,kjl->kil", kmats, kmats)]))
+        # Body-fixed vectors rotated into the world by each frame of the
+        # chain (platform, then link k): the point the frame's body is
+        # measured from (mount offset, link k CoM), the next joint's parent
+        # offset and the next joint's axis, as (frame, vector, 3, 1) columns.
+        vecs = np.zeros((n + 1, 3, 3))
+        vecs[0, 0] = self.platform.mount_offset
+        vecs[1:, 0] = np.array([l.com_offset for l in self.links]).reshape(n, 3)
+        vecs[:n, 1] = np.array([l.parent_offset for l in self.links]).reshape(n, 3)
+        vecs[:n, 2] = axes
+        object.__setattr__(self, "_frame_vecs", vecs[..., None])
+        object.__setattr__(self, "_frame_inertias", np.concatenate(
+            [self.platform.inertia[None],
+             np.array([l.inertia for l in self.links]).reshape(n, 3, 3)]))
         masses = np.concatenate([[self.platform.mass, self.movers.mass, self.movers.mass],
                                  [l.mass for l in self.links]])
         object.__setattr__(self, "_masses", masses)
         object.__setattr__(self, "_total_mass", float(masses.sum()))
-        object.__setattr__(self, "_tril", np.tril(np.ones((n, n))))
+        # Body masses repeated over the rows of a (body, xyz, coordinate)
+        # point Jacobian block.
+        object.__setattr__(self, "_jacobian_masses",
+                           np.repeat(masses, 3 * (5 + n)).reshape(3 + n, 3, 5 + n))
         object.__setattr__(self, "_v0_cache", [None])
 
     @property

@@ -197,7 +197,8 @@ def _stage(model, q, qd, controller, tau_ext):
     u = controller.u_vector(ev)
     X = ev.act_solve()
     qdd = X[:, :-1] @ u - X[:, -1]
-    tau_act = np.concatenate([np.zeros(2), u])
+    tau_act = np.zeros(qd.size)
+    tau_act[2:] = u
     if tau_ext is not None:
         qdd = qdd + ev.solve_M(tau_ext)
         tau_act = tau_act + tau_ext

@@ -23,6 +23,34 @@ def skew(v):
                      [-y, x, 0.0]])
 
 
+# Every entry of R then E (row-major) as (f0 f1) f2 + (f3 f4) f5 over the
+# factors below.  Padding with 1 (x 1 = x) and -0 (x + -0 = x) is exact,
+# signed zeros included, so each entry is the plain product or sum it names.
+_SA, _SB, _SG, _CA, _CB, _CG, _ONE, _NEG, _ZERO, _NZERO = range(10)
+_FACTOR_CONSTS = np.array([1.0, -1.0, 0.0, -0.0])
+_PAD = (_NZERO, _ONE, _ONE)
+_RPY_TERMS = np.array([
+    (_CG, _CB, _ONE) + _PAD,          # R: cg cb
+    (_CG, _SB, _SA, _SG, _CA, _NEG),  # cg sb sa - sg ca
+    (_CG, _SB, _CA, _SG, _SA, _ONE),  # cg sb ca + sg sa
+    (_SG, _CB, _ONE) + _PAD,          # sg cb
+    (_SG, _SB, _SA, _CG, _CA, _ONE),  # sg sb sa + cg ca
+    (_SG, _SB, _CA, _CG, _SA, _NEG),  # sg sb ca - cg sa
+    (_SB, _NEG, _ONE) + _PAD,         # -sb
+    (_CB, _SA, _ONE) + _PAD,          # cb sa
+    (_CB, _CA, _ONE) + _PAD,          # cb ca
+    (_CB, _CG, _ONE) + _PAD,          # E: cb cg
+    (_SG, _NEG, _ONE) + _PAD,         # -sg
+    (_ZERO, _ONE, _ONE) + _PAD,       # 0
+    (_CB, _SG, _ONE) + _PAD,          # cb sg
+    (_CG, _ONE, _ONE) + _PAD,         # cg
+    (_ZERO, _ONE, _ONE) + _PAD,       # 0
+    (_SB, _NEG, _ONE) + _PAD,         # -sb
+    (_ZERO, _ONE, _ONE) + _PAD,       # 0
+    (_ONE, _ONE, _ONE) + _PAD,        # 1
+]).T.ravel()
+
+
 def rpy_frames(alpha, beta, gamma):
     """Rotation R = Rz(gamma) @ Ry(beta) @ Rx(alpha) and Euler-rate map E.
 
@@ -32,30 +60,24 @@ def rpy_frames(alpha, beta, gamma):
     roll.  Array angles give stacks of shape (..., 3, 3).  No gimbal guard
     here: batched finite-difference callers may straddle it.
     """
-    shape = np.broadcast_shapes(np.shape(alpha), np.shape(beta), np.shape(gamma))
-    sa, ca = np.sin(alpha), np.cos(alpha)
-    sb, cb = np.sin(beta), np.cos(beta)
-    sg, cg = np.sin(gamma), np.cos(gamma)
+    angles = np.stack(np.broadcast_arrays(alpha, beta, gamma))
+    return rpy_frames_sc(np.sin(angles), np.cos(angles))
 
-    R = np.empty(shape + (3, 3))
-    R[..., 0, 0] = cg * cb
-    R[..., 0, 1] = cg * sb * sa - sg * ca
-    R[..., 0, 2] = cg * sb * ca + sg * sa
-    R[..., 1, 0] = sg * cb
-    R[..., 1, 1] = sg * sb * sa + cg * ca
-    R[..., 1, 2] = sg * sb * ca - cg * sa
-    R[..., 2, 0] = -sb
-    R[..., 2, 1] = cb * sa
-    R[..., 2, 2] = cb * ca
 
-    E = np.zeros(shape + (3, 3))
-    E[..., 0, 0] = cb * cg
-    E[..., 1, 0] = cb * sg
-    E[..., 2, 0] = -sb
-    E[..., 0, 1] = -sg
-    E[..., 1, 1] = cg
-    E[..., 2, 2] = 1.0
-    return R, E
+def rpy_frames_sc(s, c):
+    """rpy_frames from the sines s and cosines c of (roll, pitch, yaw), both
+    of shape (3, ...), for callers that already hold them.  R and E are
+    views of one array holding each entry contiguously over the batch."""
+    shape = np.shape(s)[1:]
+    F = np.empty((10,) + shape)
+    F[0:3] = s
+    F[3:6] = c
+    F[6:] = _FACTOR_CONSTS.reshape((4,) + (1,) * len(shape))
+    f = F.take(_RPY_TERMS, axis=0).reshape((6, 18) + shape)
+    v = f[0] * f[1] * f[2] + f[3] * f[4] * f[5]
+    to_last = tuple(range(2, 2 + len(shape))) + (0, 1)
+    return (v[0:9].reshape((3, 3) + shape).transpose(to_last),
+            v[9:18].reshape((3, 3) + shape).transpose(to_last))
 
 
 def check_pitch(beta):

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import oracles
-from pendusim import dynamics
+from pendusim import dynamics, engine
 from pendusim.dynamics import (IllConditionedTransformError, coriolis_matrix,
                                dynamics_terms, evaluate, forward_dynamics,
                                gravity_vector, kinetic_energy, mass_matrix,
@@ -57,6 +59,33 @@ def test_kinetic_energy_matches_independent_summation(desk):
         ke = kinetic_energy(desk, q, qd)
         assert ke == pytest.approx(oracles.kinetic_energy(desk, q, qd),
                                    rel=1e-10)
+
+
+@pytest.mark.parametrize("n_links", [0, 3, 7])
+def test_batched_assembly_matches_single_configurations(n_links):
+    """Each row of a batched engine.assemble is bit-identical to assembling
+    its configuration alone, at batch sizes with and without an Eval
+    stencil's, and the mass matrix matches the kinetic-energy Hessian.  The
+    potential is the exception: numpy sums one row's CoM heights through
+    BLAS and a batch's in a plain loop, so the two may differ in the last
+    bit."""
+    base = preset_paper(7 if n_links == 7 else 3)
+    model = base if n_links else dataclasses.replace(base, links=())
+    rng = np.random.default_rng(40 + n_links)
+    for B in (2, 5, 2 * model.dof - 1):
+        Q = np.array([random_state(rng, model)[0] for _ in range(B)])
+        batch = engine.assemble(model, Q)
+        for i in range(B):
+            one = engine.assemble1(model, Q[i])
+            for name in engine.Assembled.__slots__:
+                if name != "V":
+                    assert np.array_equal(getattr(batch, name)[i],
+                                          getattr(one, name)[0]), name
+            assert batch.V[i] == pytest.approx(one.V[0], rel=1e-14, abs=1e-14)
+    for q in Q[:2]:
+        M = engine.assemble1(model, q).M[0]
+        H = oracles.mass_matrix(model, q)
+        assert np.abs(M - H).max() < 1e-8 * max(1.0, np.abs(M).max())
 
 
 def test_gravity_zero_at_symmetric_hang(desk):
