@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dynamics, engine
+from .model import check_finite
 
 logger = logging.getLogger(__name__)
 
@@ -44,12 +45,17 @@ class NoConvergenceError(RuntimeError):
         self.qm = qm
 
 
+def _positive(v):
+    """True when every entry is positive and finite (NaN fails)."""
+    return bool(np.all((v > 0.0) & (v < np.inf)))
+
+
 def _diag2(v):
     v = np.asarray(v, dtype=float).reshape(-1)
     if v.size == 1:
         v = np.repeat(v, 2)
-    if v.size != 2 or np.any(v <= 0.0):
-        raise ValueError("expected two positive diagonal gains")
+    if v.size != 2 or not _positive(v):
+        raise ValueError("expected two positive finite diagonal gains")
     return v
 
 
@@ -81,11 +87,11 @@ class Gains:
             object.__setattr__(self, name, _diag2(getattr(self, name)))
         for name in ("D_r", "K_r"):
             v = np.asarray(getattr(self, name), dtype=float).reshape(-1)
-            if np.any(v <= 0.0):
-                raise ValueError(f"{name} diagonal must be positive")
+            if not _positive(v):
+                raise ValueError(f"{name} diagonal must be positive and finite")
             object.__setattr__(self, name, v)
-        if self.D_gamma <= 0.0 or self.K_gamma <= 0.0:
-            raise ValueError("yaw gains must be positive")
+        if not _positive(np.array([self.D_gamma, self.K_gamma], dtype=float)):
+            raise ValueError("yaw gains must be positive and finite")
 
     @property
     def ratio_ok(self):
@@ -124,10 +130,13 @@ class Setpoint:
     qm_star: np.ndarray = None
 
     def __post_init__(self):
+        object.__setattr__(self, "gamma_des", float(self.gamma_des))
         object.__setattr__(self, "qr_des", np.asarray(self.qr_des, dtype=float).reshape(-1))
+        check_finite("setpoint", self.gamma_des, self.qr_des)
         if self.qm_star is not None:
             object.__setattr__(self, "qm_star",
                                np.asarray(self.qm_star, dtype=float).reshape(2))
+            check_finite("qm_star", self.qm_star)
 
     def to_dict(self):
         return {"gamma_des": self.gamma_des,

@@ -1,10 +1,20 @@
 """Equation-of-motion terms, the CoM coordinate transform, and forward dynamics.
 
 The rigid-body equation is M(q) qdd + C(q, qd) qd + g(q) = tau with tau = B u
-actuating everything except roll and pitch.  C uses the Christoffel
-construction with dM/dq by central finite differences (step 1e-6), which keeps
-the passivity identity qd' (dM/dt - 2C) qd = 0 testable.  The transform T
-replaces roll/pitch rates with the world CoM x, y rates:
+actuating everything except roll and pitch.  One RK4 stage assembles a single
+complex configuration q + i h qd (h = 1e-20): its real parts are M, g, the
+CoM data and the body Jacobians, its imaginary parts the exact Jacobian rates
+along qd (complex-step differentiation).  From these the stage reads the bias
+C qd + g as the Newton-Euler forces projected through the Jacobians,
+
+    C qd + g = sum_b Jv_b' m_b Jv_b_dot qd + Jw_b' (I_b Jw_b_dot qd
+               + w_b x I_b w_b) + g,
+
+which holds for any factorization of C, and the Christoffel block C_phim
+exactly (see Eval).  The full Christoffel C, built from dM/dq by one complex
+row per coordinate, keeps the passivity identity qd' (dM/dt - 2C) qd = 0
+testable; it and the transformed C, g are built only when read.  The
+transform T replaces roll/pitch rates with the world CoM x, y rates:
 
     qbar_dot = T qd,   qbar = (x_c, gamma, q_m, q_r)
 
@@ -20,7 +30,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from . import engine
 
-FD_STEP = 1e-6          # central-difference step for dM/dq and T-dot
+CS_STEP = 1e-20         # complex step of the stage row and of dM/dq
 COND_LIMIT = 1e8        # transform conditioning guard
 
 
@@ -55,19 +65,21 @@ def singular_values_sq2(A):
     return 0.5 * (t + root), 0.5 * (t - root)
 
 
+def _complex_rows(q, steps):
+    """Configurations q + i steps, one per row of steps."""
+    Q = np.empty(steps.shape, dtype=complex)
+    Q.real = q
+    Q.imag = steps
+    return Q
+
+
 @functools.lru_cache(maxsize=None)
-def _fd_stencil(N, need_transform, h):
-    """Offsets of an Eval batch over N coordinates (shared; read only): row 0
-    is the state, rows 1 + 2j and 2 + 2j step the j-th perturbed coordinate
-    (all but yaw, whose dM/dq slice is analytically zero) by +h and -h, and
-    two trailing rows are left for the +-h qd steps of the transform.
-    Unperturbed entries hold -0.0, the exact additive identity, so
-    q + offsets reproduces q bit for bit there (signed zeros included)."""
-    m = N - 1
-    D = np.full((1 + 2 * m + (2 if need_transform else 0), N), -0.0)
+def _dM_steps(N):
+    """Imaginary steps of the dM/dq batch (shared; read only): one row per
+    coordinate but yaw, whose dM/dq slice is analytically zero."""
+    D = np.zeros((N - 1, N))
     for j, i in enumerate([0, 1] + list(range(3, N))):
-        D[1 + 2 * j, i] = h
-        D[2 + 2 * j, i] = -h
+        D[j, i] = CS_STEP
     return D
 
 
@@ -83,59 +95,69 @@ def _act_rhs(N):
 class Eval:
     """Fused per-state evaluation shared by the simulator and controllers.
 
-    One batched engine call provides M, dM/dq (gamma column analytic zero:
-    the kinetic energy is invariant under yaw), C, g, the potential, CoM data
-    and, when requested, the transformed terms.  The named blocks read by the
-    oscillation-damping laws are properties, so an Eval serves as the state,
-    the dynamics terms and the transformed terms those laws take.
+    One engine call on the complex configuration q + i h qd provides M, g,
+    the potential, CoM data, the bias C qd + g, the Christoffel block C_phim
+    and, when requested, the transform T, its rate and Mbar.  C_phim needs
+    no full C: only the point-mass movers have mover columns in their point
+    Jacobians and no rotating body depends on q_m, so the Christoffel symbols
+    reduce to
+
+        C_phim = sum over movers b of m_b Jv_b[:, 0:2]' Jv_b_dot[:, 3:5].
+
+    dM/dq (yaw slice analytic zero: the kinetic energy is invariant under
+    yaw), the full Christoffel C and the transformed Cbar, gbar are built on
+    first read.  The named blocks read by the oscillation-damping laws are
+    properties, so an Eval serves as the state, the dynamics terms and the
+    transformed terms those laws take.
     """
 
-    __slots__ = ("model", "q", "qd", "M", "dM", "C", "g", "bias", "V", "com",
-                 "Jcom", "T", "Tdot", "Mbar", "Cbar", "gbar", "_cho",
-                 "cond", "_act")
+    #: Configurations one evaluation assembles.
+    CONFIGURATIONS = 1
+
+    __slots__ = ("model", "q", "qd", "M", "g", "bias", "V", "com", "Jcom",
+                 "C_phim", "T", "Tdot", "Mbar", "cond", "_Tinv", "_dM", "_C",
+                 "_Cbar", "_gbar", "_cho", "_act")
 
     def __init__(self, model, q, qd, need_transform=True):
         q = np.asarray(q, dtype=float)
         qd = np.asarray(qd, dtype=float)
         N = model.dof
-        h = FD_STEP
-        Qb = q + _fd_stencil(N, need_transform, h)
-        m = N - 1
-        if need_transform:
-            Qb[-2] += h * qd
-            Qb[-1] -= h * qd
-        a = engine.assemble(model, Qb)
+        nb = model.n_bodies
+        h = CS_STEP
+        a = engine.assemble(model, _complex_rows(q, h * qd[None]))
 
         self.model = model
         self.q = q
         self.qd = qd
-        self.M = a.M[0]
-        self.g = a.g[0]
-        self.V = float(a.V[0]) - engine.potential_offset(model)
-        self.com = a.com[0]
-        self.Jcom = a.Jcom[0]
+        self.M = np.ascontiguousarray(a.M[0].real)
+        self.g = a.g[0].real
+        self.V = float(a.V[0].real) - engine.potential_offset(model)
+        self.com = a.com[0].real
+        self.Jcom = a.Jcom[0].real
+        self._dM = None
+        self._C = None
+        self._Cbar = None
+        self._gbar = None
         self._cho = None
         self._act = None
 
-        dM = np.zeros((N, N, N))
-        dMp = (a.M[1:1 + 2 * m:2] - a.M[2:2 + 2 * m:2]) / (2.0 * h)
-        dM[0:2] = dMp[0:2]
-        dM[3:] = dMp[2:]
-        self.dM = dM
-        # Christoffel contraction; dM[i] is symmetric, so the second and
-        # third terms are transposes of one contraction.  The two products
-        # are the reshaped dots np.tensordot would form, without its
-        # per-call axis bookkeeping.
-        Mdot = np.dot(qd.reshape(1, N), dM.reshape(N, N * N)).reshape(N, N)
-        S = np.dot(dM.reshape(N * N, N), qd.reshape(N, 1)).reshape(N, N)
-        self.C = 0.5 * (Mdot + S.T - S)
-        self.bias = self.C @ qd + self.g
+        # Newton-Euler bias: the imaginary parts of the body momenta m Jv qd
+        # and Iw Jw qd are h times their rates at qdd = 0, m Jv_dot qd and
+        # Iw Jw_dot qd + Iw_dot w = Iw Jw_dot qd + w x Iw w.
+        Jv = a.Jv[0].reshape(nb * 3, N)
+        Jw = a.Jw[0].reshape(nb * 3, N)
+        p_rate = (Jv @ qd).imag.reshape(nb, 3) * model._masses[:, None]
+        L_rate = (a.Iw[0] @ (Jw @ qd).reshape(nb, 3, 1)).imag
+        self.bias = (Jv.real.T @ p_rate.reshape(-1)
+                     + Jw.real.T @ L_rate.reshape(-1)) / h + self.g
+        Jm = a.Jv[0, 1:3].reshape(6, N)
+        self.C_phim = (Jm[:, 0:2].real.T @ Jm[:, 3:5].imag) * (model.movers.mass / h)
 
         if need_transform:
             T = np.eye(N)
             T[0:2] = self.Jcom
             Tdot = np.zeros((N, N))
-            Tdot[0:2] = (a.Jcom[-2] - a.Jcom[-1]) / (2.0 * h)
+            Tdot[0:2] = a.Jcom[0].imag / h
             self.T = T
             self.Tdot = Tdot
             # T is block-triangular [[A, D], [0, I]]; its conditioning is
@@ -147,17 +169,53 @@ class Eval:
             if self.cond > COND_LIMIT:
                 raise IllConditionedTransformError(
                     f"transform condition estimate {self.cond:.3e} exceeds {COND_LIMIT:.0e}")
-            Tinv = np.linalg.inv(T)
-            self.Mbar = Tinv.T @ self.M @ Tinv
-            self.Cbar = Tinv.T @ (self.C - self.M @ Tinv @ Tdot) @ Tinv
-            self.gbar = Tinv.T @ self.g
+            self._Tinv = np.linalg.inv(T)
+            self.Mbar = self._Tinv.T @ self.M @ self._Tinv
         else:
             self.T = None
             self.Tdot = None
             self.Mbar = None
-            self.Cbar = None
-            self.gbar = None
             self.cond = None
+            self._Tinv = None
+
+    @property
+    def dM(self):
+        """dM/dq as an (N, N, N) tensor indexed [i, j, k] = dM_jk/dq_i, from
+        one complex configuration per coordinate but yaw."""
+        if self._dM is None:
+            N = self.model.dof
+            Qb = _complex_rows(self.q, _dM_steps(N))
+            dMp = engine.assemble(self.model, Qb).M.imag / CS_STEP
+            dM = np.zeros((N, N, N))
+            dM[0:2] = dMp[0:2]
+            dM[3:] = dMp[2:]
+            self._dM = dM
+        return self._dM
+
+    @property
+    def C(self):
+        """Christoffel Coriolis matrix; dM[i] is symmetric, so the second and
+        third terms are transposes of one contraction."""
+        if self._C is None:
+            N = self.model.dof
+            dM, qd = self.dM, self.qd
+            Mdot = np.dot(qd.reshape(1, N), dM.reshape(N, N * N)).reshape(N, N)
+            S = np.dot(dM.reshape(N * N, N), qd.reshape(N, 1)).reshape(N, N)
+            self._C = 0.5 * (Mdot + S.T - S)
+        return self._C
+
+    @property
+    def Cbar(self):
+        if self._Cbar is None and self._Tinv is not None:
+            Tinv = self._Tinv
+            self._Cbar = Tinv.T @ (self.C - self.M @ Tinv @ self.Tdot) @ Tinv
+        return self._Cbar
+
+    @property
+    def gbar(self):
+        if self._gbar is None and self._Tinv is not None:
+            self._gbar = self._Tinv.T @ self.g
+        return self._gbar
 
     @property
     def terms(self):
@@ -172,10 +230,6 @@ class Eval:
     @property
     def M_phim(self):
         return self.M[0:2, 3:5]
-
-    @property
-    def C_phim(self):
-        return self.C[0:2, 3:5]
 
     @property
     def g_phi(self):

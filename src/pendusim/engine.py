@@ -1,11 +1,15 @@
 """Batched kinematics and mass-matrix assembly.
 
 Everything the dynamics layer needs per configuration (body frames, point and
-angular Jacobians, mass matrix, gravity vector, potential, CoM and its
-Jacobian) is assembled for a whole batch of configurations in one vectorized
-pass.  Finite-difference consumers (Coriolis matrix, transform rate) batch
-their perturbed configurations through here, which is what keeps fixed-step
-closed-loop runs fast enough for interactive use.
+angular Jacobians, world inertias, mass matrix, gravity vector, potential,
+CoM and its Jacobian) is assembled for a whole batch of configurations in one
+vectorized pass.  Every operation is analytic, so a complex configuration
+q + i h v assembles each quantity with its exact directional derivative along
+v in the imaginary part (complex-step differentiation, Squire & Trapp 1998):
+the dynamics layer reads the Jacobian rates of one RK4 stage from one such
+row, and builds dM/dq from one row per coordinate.  The real parts of a
+complex row are the real assembly of q, to roundoff: numpy's complex and real
+matrix products may accumulate in different orders.
 
 Bodies are ordered: platform, mover 1, mover 2, link 1 .. link n (CoM).
 Movers are point masses and carry no rotational inertia.
@@ -121,19 +125,26 @@ class Assembled:
     """Raw per-batch products of one assembly call."""
 
     __slots__ = ("R", "E", "p_platform", "p_movers", "link_R", "link_origin",
-                 "link_com", "axes_world", "p_bodies", "Jv", "Jw", "M", "g",
-                 "V", "com", "Jcom")
+                 "link_com", "axes_world", "p_bodies", "Jv", "Jw", "Iw", "M",
+                 "g", "V", "com", "Jcom")
 
 
 def assemble(model, Q):
-    """Assemble dynamics quantities for a batch of configurations Q (B, N).
+    """Assemble dynamics quantities for a batch of configurations Q (B, N),
+    real or complex; the outputs keep Q's dtype.
 
-    The batch is small (one Eval's finite-difference stencil), so the cost is
-    the number and shape of array operations rather than their size: the
+    The batch is small (one configuration per RK4 stage), so the cost is the
+    number and shape of array operations rather than their size: the
     per-body kinematics run on contiguous (item, batch, xyz) blocks and the
-    Jacobians are gathered in a few flat operations (see _layout).
+    Jacobians are gathered in a few flat operations (see _layout).  The mass
+    sums are elementwise products and sums over the body axis: numpy's
+    complex-by-real matrix-vector product and division round differently from
+    the real ones, these do not.  On the preset models a complex row's real
+    parts are then the real assembly bit for bit.
     """
-    Q = np.asarray(Q, dtype=float)
+    Q = np.asarray(Q)
+    Q = Q.astype(complex if Q.dtype.kind == "c" else float, copy=False)
+    dtype = Q.dtype
     B, N = Q.shape
     n = model.n_links
     nb = model.n_bodies
@@ -142,13 +153,13 @@ def assemble(model, Q):
     plat = model.platform
     lay = _layout(n, B)
 
-    trig = np.empty((2, N, B))
+    trig = np.empty((2, N, B), dtype=dtype)
     np.sin(Q.T, out=trig[0])
     np.cos(Q.T, out=trig[1])
     R, E = spatial.rpy_frames_sc(trig[0, 0:3], trig[1, 0:3])
     ex, ez = R[:, :, 0], R[:, :, 2]
 
-    S = np.zeros((lay.G, B, 3))
+    S = np.zeros((lay.G, B, 3), dtype=dtype)
     S[0:3] = E.transpose(1, 0, 2)
 
     # Body CoM positions: platform, movers 1-2, link CoMs.
@@ -159,7 +170,7 @@ def assemble(model, Q):
 
     # Frame chain: platform, then each link's rotation through Rodrigues
     # matrices built for all joints at once (indexed [k, b]).
-    frames = np.empty((n + 1, B, 3, 3))
+    frames = np.empty((n + 1, B, 3, 3), dtype=dtype)
     frames[0] = R
     if n:
         sc = trig.reshape(-1).take(lay.rod_trig)
@@ -189,7 +200,7 @@ def assemble(model, Q):
     arm = an * (bp - bp0)
     arm -= ap * (bn - bn0)
     arm *= lay.mask
-    Jv = np.zeros((B, nb, 3, N))
+    Jv = np.zeros((B, nb, 3, N), dtype=dtype)
     Jv.reshape(-1)[lay.target] = arm
     Jv[:, 1, :, 3] = ex
     Jv[:, 2, :, 4] = R[:, :, 1]
@@ -200,7 +211,7 @@ def assemble(model, Q):
     # World inertias of the rotating bodies, platform and links in one pass
     # over the frame chain.
     I_rot = frames @ model._frame_inertias[:, None] @ frames.transpose(0, 1, 3, 2)
-    Iw = np.zeros((B, nb, 3, 3))
+    Iw = np.zeros((B, nb, 3, 3), dtype=dtype)
     Iw[:, 0] = I_rot[0]
     Iw[:, 3:] = I_rot[1:].transpose(1, 0, 2, 3)
 
@@ -230,11 +241,13 @@ def assemble(model, Q):
     out.p_bodies = p_all
     out.Jv = Jv
     out.Jw = Jw
+    out.Iw = Iw
     out.M = M
     out.g = g0 * Wsum[:, 2]
-    out.V = g0 * (p_all[:, :, 2] @ masses)
-    out.com = (p_all[:, :, 0:2].transpose(0, 2, 1) @ masses) / model.total_mass
-    out.Jcom = Wsum[:, 0:2] / model.total_mass
+    msum = (p_all * masses[:, None]).sum(axis=1)
+    out.V = g0 * msum[:, 2]
+    out.com = msum[:, 0:2] * model._inv_total_mass
+    out.Jcom = Wsum[:, 0:2] * model._inv_total_mass
     return out
 
 

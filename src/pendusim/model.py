@@ -27,10 +27,17 @@ class InvalidBodyError(ValueError):
     """Body identifier does not name a body of the model."""
 
 
+def check_finite(name, *values):
+    """Raise ValueError unless every entry of every value is finite."""
+    if not all(np.all(np.isfinite(np.asarray(v, dtype=float))) for v in values):
+        raise ValueError(f"{name} must be finite")
+
+
 def _as_matrix(m, name):
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise ValueError(f"{name} must be 3x3, got {m.shape}")
+    check_finite(name, m)
     if not np.allclose(m, m.T, atol=1e-12 * max(1.0, np.abs(m).max())):
         raise ValueError(f"{name} must be symmetric")
     return m
@@ -51,6 +58,8 @@ class PlatformParams:
         object.__setattr__(self, "inertia", _as_matrix(self.inertia, "platform inertia"))
         object.__setattr__(self, "mount_offset",
                            np.asarray(self.mount_offset, dtype=float).reshape(3))
+        check_finite("platform parameters", self.mass, self.wire_length,
+                      self.rail_height, self.mount_offset)
         if self.mass <= 0.0:
             raise ValueError("platform mass must be positive")
         if self.wire_length <= 0.0:
@@ -68,6 +77,7 @@ class MoverParams:
     travel_limit: float = 0.8
 
     def __post_init__(self):
+        check_finite("mover parameters", self.mass, self.travel_limit)
         if self.mass <= 0.0:
             raise ValueError("mover mass must be positive")
         if self.travel_limit <= 0.0:
@@ -91,6 +101,8 @@ class SerialLink:
         object.__setattr__(self, "com_offset",
                            np.asarray(self.com_offset, dtype=float).reshape(3))
         ax = np.asarray(self.axis, dtype=float).reshape(3)
+        check_finite("link parameters", self.parent_offset, self.com_offset,
+                      ax, self.mass)
         if abs(np.linalg.norm(ax) - 1.0) > 1e-12:
             raise ValueError("joint axis must be unit-norm to 1e-12")
         object.__setattr__(self, "axis", ax)
@@ -112,6 +124,7 @@ class SystemModel:
 
     def __post_init__(self):
         object.__setattr__(self, "links", tuple(self.links))
+        check_finite("gravity", self.gravity)
         if self.gravity <= 0.0:
             raise ValueError("gravity must be positive")
         # Packed arrays consumed by the batched evaluation engine.
@@ -138,6 +151,7 @@ class SystemModel:
                                  [l.mass for l in self.links]])
         object.__setattr__(self, "_masses", masses)
         object.__setattr__(self, "_total_mass", float(masses.sum()))
+        object.__setattr__(self, "_inv_total_mass", 1.0 / self._total_mass)
         # Body masses repeated over the rows of a (body, xyz, coordinate)
         # point Jacobian block.
         object.__setattr__(self, "_jacobian_masses",

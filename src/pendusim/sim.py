@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .control import (Gains, Setpoint, SingularCouplingError, balance_residual,
-                      make_controller)
+from .control import (CONTROLLER_NAMES, Gains, Setpoint, SingularCouplingError,
+                      balance_residual, make_controller)
 from .model import State, SystemModel, model_from_dict, model_to_dict, preset_paper
 from .spatial import BETA_GUARD
 
@@ -48,7 +48,7 @@ def _whole(value, name):
     """value as an int, or ScenarioError unless it is a whole number."""
     try:
         whole = float(value).is_integer()
-    except (TypeError, ValueError):
+    except (OverflowError, TypeError, ValueError):
         whole = False
     if not whole:
         raise ScenarioError(f"{name} must be a whole number, got {value!r}")
@@ -90,6 +90,10 @@ class Scenario:
         self.decimation = _whole(self.decimation, "decimation")
         if self.decimation < 1:
             raise ScenarioError("decimation must be a positive integer")
+        if self.controller not in CONTROLLER_NAMES:
+            raise ScenarioError(f"unknown controller {self.controller!r}")
+        if not isinstance(self.label, str):
+            raise ScenarioError(f"label must be a string, got {self.label!r}")
         if self.controller != "free" and (self.gains is None or self.setpoint is None):
             raise ScenarioError(f"controller {self.controller!r} needs gains and setpoint")
         if (self.controller in ("remark2", "proposed")
@@ -136,6 +140,8 @@ class Trajectory:
     escaped: bool = False
     escape_reason: str = ""
     travel_limit_exceeded: bool = False
+    steps: int = 0
+    stage_evaluations: int = 0
 
     @property
     def n_links(self):
@@ -161,6 +167,7 @@ class OutcomeReport:
     decay_rate: float
     travel_limit_exceeded: bool
     energy_audit: dict
+    run: dict
 
     def to_dict(self):
         return {
@@ -179,6 +186,7 @@ class OutcomeReport:
             "decay_rate": self.decay_rate,
             "travel_limit_exceeded": self.travel_limit_exceeded,
             "energy_audit": self.energy_audit,
+            "run": self.run,
         }
 
 
@@ -305,6 +313,9 @@ def run(scenario):
         e_kin=ek_log[:rec].copy(), e_pot=ep_log[:rec].copy(),
         work=w_log[:rec].copy(), escaped=escaped, escape_reason=reason,
         travel_limit_exceeded=travel_hit,
+        # Each completed step evaluated four stages; a run that reaches its
+        # end evaluates one more at the final state, which it logs.
+        steps=k, stage_evaluations=4 * k + (0 if escaped else 1),
     )
     return traj, build_report(traj)
 
@@ -448,6 +459,9 @@ def build_report(traj, bands=None, window=DEFAULT_WINDOW):
         decay_rate=decay,
         travel_limit_exceeded=traj.travel_limit_exceeded,
         energy_audit=audit,
+        run={"steps": traj.steps,
+             "stage_evaluations": traj.stage_evaluations,
+             "configurations_per_evaluation": dynamics.Eval.CONFIGURATIONS},
     )
 
 
@@ -547,7 +561,7 @@ def scenario_from_dict(doc):
             label=doc.get("label", ""),
             tau_ext=doc.get("tau_ext"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         if isinstance(exc, ScenarioError):
             raise
         raise ScenarioError(f"invalid scenario document: {exc}") from exc
@@ -555,7 +569,7 @@ def scenario_from_dict(doc):
     if sp is not None and sp.qm_star is not None:
         res = float(np.linalg.norm(
             balance_residual(model, sp.qm_star, sp.qr_des, sp.gamma_des)))
-        if res >= 1e-10:
+        if not res < 1e-10:
             raise ScenarioError(
                 f"setpoint q_m* does not balance gravity: |g_phi| = {res:.3e}")
     return scenario

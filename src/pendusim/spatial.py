@@ -58,7 +58,7 @@ def rpy_frames(alpha, beta, gamma):
     are the world-frame axes the successive elemental rotations act about:
     [Rz Ry ex | Rz ey | ez].  For the Z-Y-X composition it does not depend on
     roll.  Array angles give stacks of shape (..., 3, 3).  No gimbal guard
-    here: batched finite-difference callers may straddle it.
+    here: batched callers may straddle it.
     """
     angles = np.stack(np.broadcast_arrays(alpha, beta, gamma))
     return rpy_frames_sc(np.sin(angles), np.cos(angles))
@@ -66,10 +66,11 @@ def rpy_frames(alpha, beta, gamma):
 
 def rpy_frames_sc(s, c):
     """rpy_frames from the sines s and cosines c of (roll, pitch, yaw), both
-    of shape (3, ...), for callers that already hold them.  R and E are
-    views of one array holding each entry contiguously over the batch."""
+    of shape (3, ...), real or complex, for callers that already hold them.
+    R and E are views of one array holding each entry contiguously over the
+    batch."""
     shape = np.shape(s)[1:]
-    F = np.empty((10,) + shape)
+    F = np.empty((10,) + shape, dtype=np.result_type(s, c))
     F[0:3] = s
     F[3:6] = c
     F[6:] = _FACTOR_CONSTS.reshape((4,) + (1,) * len(shape))

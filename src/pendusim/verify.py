@@ -81,6 +81,25 @@ def check_skew_symmetry(model, rng, n_states=50):
                           f"max scaled dev {worst:.2e} (tol 1e-5)")
 
 
+def check_stage_terms(model, rng, n_states=50):
+    """The bias and C_phim an RK4 stage reads from its one complex
+    configuration against the full Christoffel C built from dM/dq."""
+    worst_bias, worst_cphim = 0.0, 0.0
+    for _ in range(n_states):
+        q, qd = random_state(rng, model)
+        ev = dynamics.evaluate(model, q, qd, need_transform=False)
+        C = ev.C
+        ref = C @ qd + ev.g
+        worst_bias = max(worst_bias, np.abs(ev.bias - ref).max()
+                         / (1.0 + np.abs(ref).max()))
+        worst_cphim = max(worst_cphim, np.abs(ev.C_phim - C[0:2, 3:5]).max()
+                          / (1.0 + np.abs(C).max()))
+    ok = worst_bias < 1e-10 and worst_cphim < 1e-10
+    return PropertyResult("stage terms match full Christoffel evaluation", ok,
+                          f"bias {worst_bias:.2e}, C_phim {worst_cphim:.2e} "
+                          "(tol 1e-10)")
+
+
 def check_pfl(model, rng, n_states=50):
     worst_closure, worst_agree = 0.0, 0.0
     for _ in range(n_states):
@@ -164,6 +183,7 @@ ALL_CHECKS = (
     check_mass_matrix,
     check_gravity_gradient,
     check_skew_symmetry,
+    check_stage_terms,
     check_pfl,
     check_transform_consistency,
     check_com_jacobian,

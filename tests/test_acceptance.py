@@ -105,7 +105,7 @@ def test_criterion_2_conservation_and_order(desk):
         assert drift < 1e-6, f"energy drift {drift:.2e}"
 
         # order measurement needs motion fast enough that truncation
-        # dominates the dM/dq finite-difference noise floor: swing the arm
+        # dominates the roundoff noise floor: swing the arm
         # folded down (a stable configuration) with joint-rate excitation
         qf = np.zeros(desk.dof)
         qf[0], qf[6] = 0.05, np.pi

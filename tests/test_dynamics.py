@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 import oracles
-from pendusim import dynamics, engine
+from pendusim import control, dynamics, engine
 from pendusim.dynamics import (IllConditionedTransformError, coriolis_matrix,
                                dynamics_terms, evaluate, forward_dynamics,
                                gravity_vector, kinetic_energy, mass_matrix,
                                potential_energy, selection_matrix, transform)
-from pendusim.model import State, preset_paper
+from pendusim.model import State, com_jacobian, model_from_dict, preset_paper
 
 
 @pytest.fixture(scope="module")
@@ -281,3 +281,138 @@ def test_free_oscillation_matches_linearized_frequency(desk):
     w_sim = 2.0 * np.pi / periods.mean()
     assert w_sim == pytest.approx(w_lin.min(), rel=0.01)
 
+
+def _random_spd(rng, scale):
+    A = rng.normal(size=(3, 3))
+    return scale * (A @ A.T + 0.5 * np.eye(3))
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+def random_model(rng, n_links):
+    """A non-preset model: skewed, x-, y- and z-axis joints, offset joints and
+    CoMs, full (non-diagonal) inertias."""
+    axes = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
+    links = []
+    for k in range(n_links):
+        axis = axes[k] if k < 3 else _unit(rng.normal(size=3))
+        links.append({
+            "parent_offset": rng.uniform(-0.2, 0.2, 3).tolist(),
+            "axis": list(axis),
+            "mass": float(rng.uniform(0.5, 5.0)),
+            "com_offset": rng.uniform(-0.2, 0.2, 3).tolist(),
+            "inertia": _random_spd(rng, 0.05).tolist(),
+        })
+    return model_from_dict({
+        "platform": {
+            "mass": float(rng.uniform(5.0, 15.0)),
+            "inertia": _random_spd(rng, 1.0).tolist(),
+            "wire_length": float(rng.uniform(2.0, 10.0)),
+            "rail_height": float(rng.uniform(-0.1, 0.1)),
+            "mount_offset": rng.uniform(-0.2, 0.2, 3).tolist(),
+        },
+        "movers": {"mass": float(rng.uniform(1.0, 10.0))},
+        "links": links,
+    })
+
+
+def _stage_models():
+    desk = preset_paper(3)
+    rng = np.random.default_rng(60)
+    return ([("bare", dataclasses.replace(desk, links=())), ("desk", desk),
+             ("paper7", preset_paper(7))]
+            + [(f"random{n}", random_model(rng, n)) for n in (0, 1, 2, 3, 5, 7)])
+
+
+STAGE_MODELS = _stage_models()
+
+
+@pytest.mark.parametrize("name, model", STAGE_MODELS,
+                         ids=[name for name, _ in STAGE_MODELS])
+def test_complex_row_real_parts_match_real_assembly(name, model):
+    """The real parts of a complex configuration's assembly are the real
+    assembly: bit for bit on the presets, whose transform rows must equal
+    com_jacobian exactly, and to roundoff on general models, where numpy's
+    complex and real matrix products accumulate in different orders."""
+    rng = np.random.default_rng(61)
+    exact = not name.startswith("random")
+    for _ in range(10):
+        q, qd = random_state(rng, model)
+        real = engine.assemble1(model, q)
+        row = engine.assemble(model, dynamics._complex_rows(q, 1e-20 * qd[None]))
+        for field in engine.Assembled.__slots__:
+            a, b = getattr(row, field).real, getattr(real, field)
+            if exact:
+                assert np.array_equal(a, b), field
+            else:
+                scale = max(1.0, np.abs(b).max(initial=0.0))
+                assert np.abs(a - b).max(initial=0.0) <= 1e-14 * scale, field
+
+
+@pytest.mark.parametrize("name, model", STAGE_MODELS,
+                         ids=[name for name, _ in STAGE_MODELS])
+def test_stage_terms_match_full_christoffel(name, model):
+    """The bias, C_phim and T-dot rows read from one complex configuration
+    agree with the full Christoffel evaluation and with finite differences."""
+    rng = np.random.default_rng(62)
+    for _ in range(10):
+        q, qd = random_state(rng, model)
+        ev = evaluate(model, q, qd)
+        C = ev.C
+        ref = C @ qd + ev.g
+        assert np.abs(ev.bias - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.abs(ev.C_phim - C[0:2, 3:5]).max() <= 1e-12 * np.abs(C).max()
+        # T-dot rows: the rate of the CoM Jacobian along qd.
+        h = 1e-6
+        Jdot = (com_jacobian(model, q + h * qd)
+                - com_jacobian(model, q - h * qd)) / (2.0 * h)
+        assert np.abs(ev.Tdot[0:2] - Jdot).max() <= 1e-7 * (1.0 + np.abs(Jdot).max())
+        assert np.abs(ev.Tdot[2:]).max() == 0.0
+
+
+@pytest.mark.parametrize("name, model", STAGE_MODELS[3:6],
+                         ids=[name for name, _ in STAGE_MODELS[3:6]])
+def test_stage_bias_matches_lagrangian_oracle(name, model):
+    """C qd = dM/dt qd - dT/dq, with dM/dt and the kinetic-energy gradient
+    taken by central differences of the independent oracle chain."""
+    rng = np.random.default_rng(63)
+    h = 1e-6
+    for _ in range(3):
+        q, qd = random_state(rng, model)
+        Mdot = (oracles.mass_matrix(model, q + h * qd)
+                - oracles.mass_matrix(model, q - h * qd)) / (2.0 * h)
+        dT = np.empty(model.dof)
+        for i in range(model.dof):
+            e = np.zeros(model.dof)
+            e[i] = h
+            dT[i] = (oracles.kinetic_energy(model, q + e, qd)
+                     - oracles.kinetic_energy(model, q - e, qd)) / (2.0 * h)
+        ev = evaluate(model, q, qd, need_transform=False)
+        Cqd = Mdot @ qd - dT
+        assert np.abs(ev.bias - ev.g - Cqd).max() < 1e-6 * (1.0 + np.abs(Cqd).max())
+
+
+@pytest.mark.parametrize("law", control.CONTROLLER_NAMES)
+def test_stage_assembles_one_configuration(law, monkeypatch):
+    """Every RK4 stage of every law assembles exactly one configuration."""
+    from pendusim import sim
+
+    model = preset_paper(3)
+    qr_des = np.array([np.pi / 4, np.pi / 2, 0.0])
+    controller = control.make_controller(
+        law, control.Gains(), control.Setpoint(0.0, qr_des, np.zeros(2)))
+    engine.potential_offset(model)          # cached once per model
+    rows = []
+    assemble = engine.assemble
+
+    def recording(m, Q):
+        rows.append(len(Q))
+        return assemble(m, Q)
+
+    monkeypatch.setattr(engine, "assemble", recording)
+    q, qd = random_state(np.random.default_rng(64), model)
+    sim._stage(model, q, qd, controller, None)
+    assert rows == [dynamics.Eval.CONFIGURATIONS] == [1]

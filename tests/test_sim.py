@@ -66,6 +66,40 @@ def test_scenario_validation(desk):
            "dt": 1e-3, "duration": 1.0}
     with pytest.raises(ScenarioError):
         scenario_from_dict(doc)
+    for bad in (dict(controller="bogus"), dict(label=7)):
+        with pytest.raises(ScenarioError):
+            Scenario(model=desk, **{"controller": "free", **bad})
+    # A non-finite setpoint, gain or model parameter fails at load time
+    # (ScenarioError from a document, ValueError from the constructor)
+    # instead of writing NaN into report.json.
+    for section, key, value in [
+            ("setpoint", "gamma_des", np.nan),
+            ("setpoint", "gamma_des", np.inf),
+            ("setpoint", "qr_des", [np.nan, 0.0, 0.0]),
+            ("setpoint", "qm_star", [0.0, np.nan]),
+            ("gains", "D_gamma", np.nan),
+            ("gains", "K_gamma", np.inf),
+            ("gains", "K_c", [np.nan, 320.0]),
+            ("gains", "D_m", np.inf),
+            ("gains", "D_r", [10.0, np.nan, 10.0])]:
+        doc = {"model": {"preset_links": 3}, "controller": "remark1",
+               "dt": 1e-2, "duration": 1.0, "gains": Gains().to_dict(),
+               "setpoint": {"gamma_des": 0.0, "qr_des": QR_DES.tolist()}}
+        doc[section][key] = value
+        with pytest.raises(ScenarioError):
+            scenario_from_dict(doc)
+        with pytest.raises(ValueError):
+            (Setpoint if section == "setpoint" else Gains)(**doc[section])
+    for *path, value in [("links", 1, "com_offset", [0.0, np.nan, 0.1]),
+                         ("platform", "mass", np.inf),
+                         ("movers", "mass", np.nan)]:
+        doc = scenario_to_dict(Scenario(model=desk, controller="free"))
+        node = doc["model"]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ScenarioError):
+            scenario_from_dict(doc)
 
 
 def test_classify_decaying_exponential(desk):
@@ -345,3 +379,53 @@ def test_energy_audit_tolerance_flag(desk, caplog):
     assert audit["relative_defect"] > 1e-5
     assert audit["within_tolerance"] is False
     assert any("energy audit" in r.message for r in caplog.records)
+
+
+def test_report_run_block(desk, tmp_path, monkeypatch):
+    """report.json states how the run was computed: its steps, its stage
+    evaluations and the configurations each one assembled, which together
+    account for every assembled configuration."""
+    from pendusim import dynamics, engine
+
+    engine.potential_offset(desk)
+    rows = []
+    assemble = engine.assemble
+
+    def recording(model, Q):
+        rows.append(len(Q))
+        return assemble(model, Q)
+
+    monkeypatch.setattr(engine, "assemble", recording)
+    sc = Scenario(model=desk, controller="proposed", gains=Gains(),
+                  setpoint=Setpoint(0.0, QR_DES, solve_equilibrium_qm(desk, QR_DES)),
+                  dt=1e-2, duration=0.5, decimation=5)
+    rows.clear()
+    _, rep = run(sc)
+    block = rep.to_dict()["run"]
+    assert block == {"steps": 50, "stage_evaluations": 201,
+                     "configurations_per_evaluation": dynamics.Eval.CONFIGURATIONS}
+    assert sum(rows) == block["stage_evaluations"] * block["configurations_per_evaluation"]
+    monkeypatch.setattr(engine, "assemble", assemble)
+
+    path = tmp_path / "sc.json"
+    save_scenario(dataclasses.replace(sc, label="run-block"), path)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+    report = _strict_json((out / "report.json").read_text())
+    assert report["run"] == block
+
+
+def test_report_run_block_of_halted_run(desk):
+    """A run halted after a step counts the steps it completed and their
+    stages, with no final evaluation."""
+    qd0 = np.zeros(desk.dof)
+    qd0[2] = 600.0  # yaw coasts past the 1e3 coordinate bound
+    sc = Scenario(model=desk, controller="free", qd0=qd0, dt=1e-2,
+                  duration=9.0, decimation=10)
+    traj, rep = run(sc)
+    assert traj.escaped
+    steps = rep.run["steps"]
+    # the halting step comes after the last logged sample, within one
+    # decimation interval
+    assert traj.t[-1] < steps * 1e-2 <= traj.t[-1] + 10 * 1e-2 + 1e-12
+    assert rep.run["stage_evaluations"] == 4 * steps
