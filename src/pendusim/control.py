@@ -1,9 +1,13 @@
 """Mover reference-acceleration laws and the partial feedback linearization.
 
-PFL makes the actuated output y = (gamma, q_m, q_r) track ydd_ref exactly;
-yaw and arm references are plain PD pole placement.  The mover reference
-acceleration is the indirect channel into the unactuated roll/pitch (or CoM)
-dynamics, and four designs of it are provided:
+PFL makes the actuated output y = (gamma, q_m, q_r) track ydd_ref exactly.
+The outputs are the actuated coordinates themselves (tau = B u with
+B = [0; I]), so the linearization is collocated (Spong 1994): qdd[2:] is
+ydd_ref, roll/pitch follow from the 2x2 block of M, and u from the actuated
+rows; no N x N solve is needed.  Yaw and arm references are plain PD pole
+placement.  The mover reference acceleration is the indirect channel into
+the unactuated roll/pitch (or CoM) dynamics, and four designs of it are
+provided:
 
   motivating  -- cancel the internal dynamics so roll/pitch converge; the
                  movers are left with pendulum-like residual dynamics.
@@ -115,7 +119,12 @@ class Gains:
 
 
 def default_gains(n_links):
-    """Desk-scale default gains sized for an n-link arm."""
+    """Desk-scale default gains sized for an n-link arm.
+
+    Only the arm PD vectors follow n_links; the platform, CoM and mover
+    gains are those tuned on the 3-link desk arm (`preset_paper(3)`).  They
+    are not tuned for other arms: with `preset_paper(7)` the proposed law
+    from `cli.DEFAULT_QR_DES[7]` does not converge."""
     return Gains(D_r=np.full(n_links, 10.0), K_r=np.full(n_links, 25.0))
 
 
@@ -173,14 +182,15 @@ def outer_refs(state, setpoint, gains):
     return gdd, qrdd
 
 
-def _solve_phim(M_phim, rhs):
-    smax_sq, smin_sq = dynamics.singular_values_sq2(M_phim)
-    cond = math.inf if smin_sq <= 0.0 else math.sqrt(smax_sq) / math.sqrt(smin_sq)
-    if cond > M_PHIM_COND_LIMIT:
+def _solve_phim(terms, rhs):
+    """M_phim^-1 rhs in closed form, behind the coupling conditioning guard
+    (cond(M_phim) is read from the evaluation, which keeps it)."""
+    cond = terms.cond_phim
+    if not cond <= M_PHIM_COND_LIMIT:
         raise SingularCouplingError(
             f"roll/pitch-to-mover coupling condition {cond:.3e} "
             f"exceeds {M_PHIM_COND_LIMIT:.0e}")
-    return np.linalg.solve(M_phim, rhs)
+    return np.array(dynamics.solve2(terms.M_phim.tolist(), rhs.tolist()))
 
 
 def qm_ref_motivating(state, terms, gains):
@@ -189,7 +199,7 @@ def qm_ref_motivating(state, terms, gains):
     phid = state.qd[0:2]
     qmd = state.qd[3:5]
     rhs = gains.D_phi * phid + gains.K_phi * phi - terms.C_phim @ qmd - terms.g_phi
-    return _solve_phim(terms.M_phim, rhs)
+    return _solve_phim(terms, rhs)
 
 
 def qm_ref_remark1(state, transformed, gains):
@@ -219,16 +229,33 @@ def qm_ref_proposed(state, transformed, setpoint, gains):
 
 
 def _pfl(ev, ydd_ref):
-    """Exact PFL: u = (B' M^-1 B)^-1 (B' M^-1 bias + ydd_ref), with the
-    B' M^-1 rows read off the evaluation's stacked solve M^-1 [B | bias]."""
-    X = ev.act_solve()
-    return np.linalg.solve(X[2:, :-1], X[2:, -1] + ydd_ref)
+    """Collocated exact PFL (Spong 1994).  The outputs are the actuated
+    coordinates, so qdd[2:] = ydd_ref; the unactuated roll/pitch rows give
+
+        qdd[0:2] = -M_phiphi^-1 (M[0:2, 2:] ydd_ref + bias[0:2]),
+
+    a closed-form 2x2 solve, and u = M[2:] qdd + bias[2:].  Returns u and
+    keeps (u, qdd) on ev as ``pfl_solution``."""
+    M, bias = ev.M, ev.bias
+    qdd = np.empty(M.shape[0])
+    qdd[2:] = ydd_ref
+    M_pp = M[0:2, 0:2].tolist()
+    (a, b), (c, d) = M_pp
+    det = a * d - b * c
+    if not 0.0 < det < math.inf:
+        raise dynamics.SingularMassError(
+            f"roll/pitch inertia block has determinant {det:.3e}")
+    rhs = -(M[0:2, 2:] @ ydd_ref + bias[0:2])
+    qdd[0:2] = dynamics.solve2(M_pp, rhs.tolist())
+    u = M[2:] @ qdd + bias[2:]
+    ev.pfl_solution = (u, qdd)
+    return u
 
 
 def pfl_input_standard(state, terms, ydd_ref):
-    """Exact linearizing input in the original coordinates:
-    u = (B' M^-1 B)^-1 (B' M^-1 (C qd + g) + ydd_ref).  ``terms`` is the
-    Eval at ``state``."""
+    """Exact linearizing input in the original coordinates, by the collocated
+    PFL; equal to u = (B' M^-1 B)^-1 (B' M^-1 (C qd + g) + ydd_ref).
+    ``terms`` is the Eval at ``state``."""
     del state
     u = _pfl(terms, np.asarray(ydd_ref, dtype=float))
     return _split_u(u, terms.model.n_links)
@@ -317,6 +344,7 @@ class Controller:
         self.gains = gains
         self.setpoint = setpoint
         self.needs_transform = name in ("remark1", "proposed")
+        self.reads_coupling = name in ("motivating", "remark2")
         if name == "proposed" and gains is not None and not gains.ratio_ok:
             logger.warning("proposed law used without the D_c, K_c >> D_m, K_m "
                            "gain ordering; convergence is not guaranteed")

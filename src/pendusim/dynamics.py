@@ -19,7 +19,15 @@ transform T replaces roll/pitch rates with the world CoM x, y rates:
     qbar_dot = T qd,   qbar = (x_c, gamma, q_m, q_r)
 
 so gravity vanishes for the transformed internal coordinates exactly at the
-hanging target.
+hanging target.  T = [[A, D], [0, I]] is block-triangular with the 2x2
+attitude block A = Jcom[:, 0:2], so the blocks of Mbar = T^-T M T^-1 the
+laws read have closed forms,
+
+    Mbar_cc = A^-T M_phiphi A^-1,
+    Mbar_cm = A^-T (M_phim - M_phiphi A^-1 Jcom[:, 3:5]),
+
+evaluated on 2x2 floats; T, its rate, T^-1 and the full Mbar are built only
+when read.  A controlled stage therefore makes no linear-algebra call.
 """
 
 import functools
@@ -57,12 +65,38 @@ def tau_from_u(u):
 
 
 def singular_values_sq2(A):
-    """Squared singular values (largest, smallest) of a 2x2 block, closed form."""
-    (a, b), (c, d) = A.tolist()
+    """Squared singular values (largest, smallest) of a 2x2 block given as
+    nested floats, closed form."""
+    (a, b), (c, d) = A
     t = a**2 + b**2 + c**2 + d**2
     det = a * d - b * c
     root = math.sqrt(max(t * t - 4.0 * det * det, 0.0))
     return 0.5 * (t + root), 0.5 * (t - root)
+
+
+def inv2(A):
+    """Inverse of a 2x2 matrix given as nested floats, by the adjugate
+    (Cramer's rule, forward stable for 2x2); the caller guards against a
+    zero determinant."""
+    (a, b), (c, d) = A
+    det = a * d - b * c
+    return ((d / det, -b / det), (-c / det, a / det))
+
+
+def solve2(A, r):
+    """x = A^-1 r for a 2x2 A and a 2-vector r given as floats, by Cramer's
+    rule; the caller guards against a zero determinant."""
+    (a, b), (c, d) = A
+    r0, r1 = r
+    det = a * d - b * c
+    return ((d * r0 - b * r1) / det, (a * r1 - c * r0) / det)
+
+
+def mul2(X, Y):
+    """Product of two 2x2 matrices given as nested floats."""
+    (a, b), (c, d) = X
+    (e, f), (g, h) = Y
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
 def _complex_rows(q, steps):
@@ -97,26 +131,31 @@ class Eval:
 
     One engine call on the complex configuration q + i h qd provides M, g,
     the potential, CoM data, the bias C qd + g, the Christoffel block C_phim
-    and, when requested, the transform T, its rate and Mbar.  C_phim needs
-    no full C: only the point-mass movers have mover columns in their point
-    Jacobians and no rotating body depends on q_m, so the Christoffel symbols
-    reduce to
+    and, when requested, the closed-form transformed blocks Mbar_cc and
+    Mbar_cm behind the cond(T) guard.  C_phim needs no full C: only the
+    point-mass movers have mover columns in their point Jacobians and no
+    rotating body depends on q_m, so the Christoffel symbols reduce to
 
         C_phim = sum over movers b of m_b Jv_b[:, 0:2]' Jv_b_dot[:, 3:5].
 
     dM/dq (yaw slice analytic zero: the kinetic energy is invariant under
-    yaw), the full Christoffel C and the transformed Cbar, gbar are built on
-    first read.  The named blocks read by the oscillation-damping laws are
+    yaw), the full Christoffel C, the transform T, its rate Tdot, T^-1, the
+    full Mbar and the transformed Cbar, gbar are built on first read, as is
+    cond(M_phim), which the coupling guard of the laws reads.  The named
+    blocks read by the oscillation-damping laws are attributes or
     properties, so an Eval serves as the state, the dynamics terms and the
-    transformed terms those laws take.
+    transformed terms those laws take.  ``pfl_solution`` holds the (u, qdd)
+    pair of the last collocated PFL at this state (see control._pfl), which
+    the simulation stage integrates without a second solve.
     """
 
     #: Configurations one evaluation assembles.
     CONFIGURATIONS = 1
 
     __slots__ = ("model", "q", "qd", "M", "g", "bias", "V", "com", "Jcom",
-                 "C_phim", "T", "Tdot", "Mbar", "cond", "_Tinv", "_dM", "_C",
-                 "_Cbar", "_gbar", "_cho", "_act")
+                 "C_phim", "Mbar_cc", "Mbar_cm", "cond", "pfl_solution",
+                 "_Jcom_c", "_T", "_Tdot", "_Tinv", "_Mbar", "_cond_phim",
+                 "_dM", "_C", "_Cbar", "_gbar", "_cho", "_act")
 
     def __init__(self, model, q, qd, need_transform=True):
         q = np.asarray(q, dtype=float)
@@ -133,7 +172,14 @@ class Eval:
         self.g = a.g[0].real
         self.V = float(a.V[0].real) - engine.potential_offset(model)
         self.com = a.com[0].real
-        self.Jcom = a.Jcom[0].real
+        self._Jcom_c = a.Jcom[0]
+        self.Jcom = self._Jcom_c.real
+        self.pfl_solution = None
+        self._T = None
+        self._Tdot = None
+        self._Tinv = None
+        self._Mbar = None
+        self._cond_phim = None
         self._dM = None
         self._C = None
         self._Cbar = None
@@ -153,30 +199,73 @@ class Eval:
         Jm = a.Jv[0, 1:3].reshape(6, N)
         self.C_phim = (Jm[:, 0:2].real.T @ Jm[:, 3:5].imag) * (model.movers.mass / h)
 
-        if need_transform:
-            T = np.eye(N)
-            T[0:2] = self.Jcom
-            Tdot = np.zeros((N, N))
-            Tdot[0:2] = a.Jcom[0].imag / h
-            self.T = T
-            self.Tdot = Tdot
-            # T is block-triangular [[A, D], [0, I]]; its conditioning is
-            # governed by the 2x2 attitude block A, estimated cheaply here.
-            _, smin_sq = singular_values_sq2(T[0:2, 0:2])
-            smin = math.sqrt(max(smin_sq, 0.0))
-            scale = max(np.abs(T).max(), 1.0)
-            self.cond = np.inf if smin == 0.0 else scale / smin
-            if self.cond > COND_LIMIT:
-                raise IllConditionedTransformError(
-                    f"transform condition estimate {self.cond:.3e} exceeds {COND_LIMIT:.0e}")
-            self._Tinv = np.linalg.inv(T)
-            self.Mbar = self._Tinv.T @ self.M @ self._Tinv
-        else:
-            self.T = None
-            self.Tdot = None
-            self.Mbar = None
+        if not need_transform:
+            self.Mbar_cc = None
+            self.Mbar_cm = None
             self.cond = None
-            self._Tinv = None
+            return
+        # T is block-triangular [[A, D], [0, I]]; its conditioning is
+        # governed by the 2x2 attitude block A, estimated cheaply here.
+        J0, J1 = self.Jcom.tolist()
+        A = (J0[0:2], J1[0:2])
+        _, smin_sq = singular_values_sq2(A)
+        smin = math.sqrt(max(smin_sq, 0.0))
+        scale = max(1.0, *map(abs, J0), *map(abs, J1))
+        self.cond = math.inf if smin == 0.0 else scale / smin
+        if not self.cond <= COND_LIMIT:
+            raise IllConditionedTransformError(
+                f"transform condition estimate {self.cond:.3e} exceeds {COND_LIMIT:.0e}")
+        M0, M1 = self.M[0:2].tolist()
+        Ai = inv2(A)
+        AiT = tuple(zip(*Ai))
+        W = mul2((M0[0:2], M1[0:2]), Ai)             # M_phiphi A^-1
+        X = mul2(W, (J0[3:5], J1[3:5]))
+        self.Mbar_cc = np.array(mul2(AiT, W))
+        self.Mbar_cm = np.array(mul2(AiT, ((M0[3] - X[0][0], M0[4] - X[0][1]),
+                                           (M1[3] - X[1][0], M1[4] - X[1][1]))))
+
+    @property
+    def T(self):
+        """CoM transform [[Jcom], [0, I]], or None without the transform."""
+        if self._T is None and self.cond is not None:
+            T = np.eye(self.model.dof)
+            T[0:2] = self.Jcom
+            self._T = T
+        return self._T
+
+    @property
+    def Tdot(self):
+        """Rate of T along qd: the exact Jcom rate from the complex row."""
+        if self._Tdot is None and self.cond is not None:
+            N = self.model.dof
+            Tdot = np.zeros((N, N))
+            Tdot[0:2] = self._Jcom_c.imag / CS_STEP
+            self._Tdot = Tdot
+        return self._Tdot
+
+    @property
+    def Tinv(self):
+        """T^-1, for the full transformed terms only (verify, tests)."""
+        if self._Tinv is None and self.cond is not None:
+            self._Tinv = np.linalg.inv(self.T)
+        return self._Tinv
+
+    @property
+    def Mbar(self):
+        """Full transformed mass matrix T^-T M T^-1."""
+        if self._Mbar is None and self.cond is not None:
+            Tinv = self.Tinv
+            self._Mbar = Tinv.T @ self.M @ Tinv
+        return self._Mbar
+
+    @property
+    def cond_phim(self):
+        """2-norm condition number of M_phim, closed form."""
+        if self._cond_phim is None:
+            smax_sq, smin_sq = singular_values_sq2(self.M[0:2, 3:5].tolist())
+            self._cond_phim = (math.inf if smin_sq <= 0.0
+                               else math.sqrt(smax_sq) / math.sqrt(smin_sq))
+        return self._cond_phim
 
     @property
     def dM(self):
@@ -206,15 +295,15 @@ class Eval:
 
     @property
     def Cbar(self):
-        if self._Cbar is None and self._Tinv is not None:
-            Tinv = self._Tinv
+        if self._Cbar is None and self.cond is not None:
+            Tinv = self.Tinv
             self._Cbar = Tinv.T @ (self.C - self.M @ Tinv @ self.Tdot) @ Tinv
         return self._Cbar
 
     @property
     def gbar(self):
-        if self._gbar is None and self._Tinv is not None:
-            self._gbar = self._Tinv.T @ self.g
+        if self._gbar is None and self.cond is not None:
+            self._gbar = self.Tinv.T @ self.g
         return self._gbar
 
     @property
@@ -223,7 +312,7 @@ class Eval:
 
     @property
     def transformed(self):
-        if self.Mbar is None:
+        if self.cond is None:
             raise ValueError("evaluation was built without transformed terms")
         return self
 
@@ -234,14 +323,6 @@ class Eval:
     @property
     def g_phi(self):
         return self.g[0:2]
-
-    @property
-    def Mbar_cc(self):
-        return self.Mbar[0:2, 0:2]
-
-    @property
-    def Mbar_cm(self):
-        return self.Mbar[0:2, 3:5]
 
     @property
     def Cbar_cc(self):

@@ -140,6 +140,9 @@ class Trajectory:
     escaped: bool = False
     escape_reason: str = ""
     travel_limit_exceeded: bool = False
+    travel_limit_time: float = None
+    worst_cond_T: float = None
+    worst_cond_M_phim: float = None
     steps: int = 0
     stage_evaluations: int = 0
 
@@ -168,6 +171,7 @@ class OutcomeReport:
     travel_limit_exceeded: bool
     energy_audit: dict
     run: dict
+    health: dict
 
     def to_dict(self):
         return {
@@ -187,6 +191,7 @@ class OutcomeReport:
             "travel_limit_exceeded": self.travel_limit_exceeded,
             "energy_audit": self.energy_audit,
             "run": self.run,
+            "health": self.health,
         }
 
 
@@ -200,11 +205,17 @@ def _check_state(q, qd, t):
 
 
 def _stage(model, q, qd, controller, tau_ext):
-    """One derivative evaluation of the closed loop."""
+    """One derivative evaluation of the closed loop.  When u came from the
+    collocated PFL, the accelerations it solved for are integrated as they
+    are; any other input (the free law, a bare u) goes through M^-1."""
     ev = dynamics.Eval(model, q, qd, need_transform=controller.needs_transform)
     u = controller.u_vector(ev)
-    X = ev.act_solve()
-    qdd = X[:, :-1] @ u - X[:, -1]
+    pfl = ev.pfl_solution
+    if pfl is not None and pfl[0] is u:
+        qdd = pfl[1]
+    else:
+        X = ev.act_solve()
+        qdd = X[:, :-1] @ u - X[:, -1]
     tau_act = np.zeros(qd.size)
     tau_act[2:] = u
     if tau_ext is not None:
@@ -272,13 +283,20 @@ def run(scenario):
     rec = 0
     escaped = False
     reason = ""
-    travel_hit = False
+    travel_time = None
     lim = model.movers.travel_limit
+    # Worst conditioning seen at the first stage of each step, for the laws
+    # whose guards compute it; NaN never compares greater, so never enters.
+    cond_T = cond_phim = -np.inf
 
     k = 0
     try:
         while True:
             ev1, u1, a1, p1 = _stage(model, q, qd, controller, tau_ext)
+            if controller.needs_transform and ev1.cond > cond_T:
+                cond_T = ev1.cond
+            if controller.reads_coupling and ev1.cond_phim > cond_phim:
+                cond_phim = ev1.cond_phim
             if k % decim == 0:
                 t_log[rec] = k * dt
                 q_log[rec] = q
@@ -289,8 +307,8 @@ def run(scenario):
                 ep_log[rec] = ev1.V
                 w_log[rec] = work
                 rec += 1
-                if not travel_hit and np.abs(q[3:5]).max() > lim:
-                    travel_hit = True
+                if travel_time is None and np.abs(q[3:5]).max() > lim:
+                    travel_time = k * dt
                     logger.warning("mover travel beyond the +-%.2f m soft limit "
                                    "at t=%.2f s (not enforced)", lim, k * dt)
             if k >= n_steps:
@@ -312,7 +330,10 @@ def run(scenario):
         u=u_log[:rec].copy(), xc=xc_log[:rec].copy(),
         e_kin=ek_log[:rec].copy(), e_pot=ep_log[:rec].copy(),
         work=w_log[:rec].copy(), escaped=escaped, escape_reason=reason,
-        travel_limit_exceeded=travel_hit,
+        travel_limit_exceeded=travel_time is not None,
+        travel_limit_time=travel_time,
+        worst_cond_T=cond_T if cond_T > -np.inf else None,
+        worst_cond_M_phim=cond_phim if cond_phim > -np.inf else None,
         # Each completed step evaluated four stages; a run that reaches its
         # end evaluates one more at the final state, which it logs.
         steps=k, stage_evaluations=4 * k + (0 if escaped else 1),
@@ -462,15 +483,37 @@ def build_report(traj, bands=None, window=DEFAULT_WINDOW):
         run={"steps": traj.steps,
              "stage_evaluations": traj.stage_evaluations,
              "configurations_per_evaluation": dynamics.Eval.CONFIGURATIONS},
+        health=_health(traj),
     )
+
+
+def _health(traj):
+    """Numerical health from what the run logged or its guards computed:
+    peak |u| per channel and peak |q_m| over the samples (None when nothing
+    was logged), the first sample time past the mover travel limit, and the
+    worst cond(T) and cond(M_phim) estimates (None for laws without them)."""
+    logged = traj.t.size > 0
+    channels = u_channels(traj.n_links)
+    peak_u = np.abs(traj.u).max(axis=0).tolist() if logged else [None] * len(channels)
+    return {
+        "peak_abs_u": dict(zip(channels, peak_u)),
+        "peak_abs_qm": float(np.abs(traj.q[:, 3:5]).max()) if logged else None,
+        "travel_limit_first_crossed_t": traj.travel_limit_time,
+        "worst_cond_T": traj.worst_cond_T,
+        "worst_cond_M_phim": traj.worst_cond_M_phim,
+    }
+
+
+def u_channels(n_links):
+    """Names of the actuated force channels, as in the CSV header."""
+    return ["u_yaw", "u_m1", "u_m2"] + [f"u_r{i+1}" for i in range(n_links)]
 
 
 def csv_header(n_links):
     names = ["t", "alpha", "beta", "gamma", "qm1", "qm2"]
     names += [f"qr{i+1}" for i in range(n_links)]
     names += [f"d_{c}" for c in names[1:6 + n_links]]
-    names += ["u_yaw", "u_m1", "u_m2"]
-    names += [f"u_r{i+1}" for i in range(n_links)]
+    names += u_channels(n_links)
     names += ["xc_x", "xc_y", "E_kin", "E_pot"]
     return names
 

@@ -100,6 +100,24 @@ def check_stage_terms(model, rng, n_states=50):
                           "(tol 1e-10)")
 
 
+def check_transform_blocks(model, rng, n_states=50):
+    """The closed-form Mbar_cc and Mbar_cm an RK4 stage reads against the
+    blocks of the full T^-T M T^-1."""
+    worst_cc, worst_cm = 0.0, 0.0
+    for _ in range(n_states):
+        q, qd = random_state(rng, model)
+        ev = dynamics.evaluate(model, q, qd)
+        Tinv = np.linalg.inv(ev.T)
+        Mbar = Tinv.T @ ev.M @ Tinv
+        scale = np.abs(Mbar).max()
+        worst_cc = max(worst_cc, np.abs(ev.Mbar_cc - Mbar[0:2, 0:2]).max() / scale)
+        worst_cm = max(worst_cm, np.abs(ev.Mbar_cm - Mbar[0:2, 3:5]).max() / scale)
+    ok = worst_cc < 1e-10 and worst_cm < 1e-10
+    return PropertyResult("closed-form transform blocks match full transform", ok,
+                          f"Mbar_cc {worst_cc:.2e}, Mbar_cm {worst_cm:.2e} "
+                          "(tol 1e-10)")
+
+
 def check_pfl(model, rng, n_states=50):
     worst_closure, worst_agree = 0.0, 0.0
     for _ in range(n_states):
@@ -184,6 +202,7 @@ ALL_CHECKS = (
     check_gravity_gradient,
     check_skew_symmetry,
     check_stage_terms,
+    check_transform_blocks,
     check_pfl,
     check_transform_consistency,
     check_com_jacobian,

@@ -376,3 +376,31 @@ def test_proposed_gain_ordering_warning(desk, setpoint, caplog):
     with caplog.at_level(logging.WARNING, logger="pendusim.control"):
         make_controller("proposed", bad, setpoint)
     assert any("gain ordering" in r.message for r in caplog.records)
+
+
+def test_collocated_pfl_shared_and_guarded(desk, setpoint, gains):
+    """pfl_input_standard and the controller share one collocated PFL, which
+    keeps its (u, qdd) on the evaluation, and a roll/pitch inertia block
+    with a non-positive or non-finite determinant raises SingularMassError."""
+    rng = np.random.default_rng(36)
+    st = random_state(rng, desk)
+    ev = dynamics.evaluate(desk, st.q, st.qd)
+    ydd = rng.uniform(-2.0, 2.0, desk.dof - 2)
+    u = pfl_input_standard(st, ev.terms, ydd).as_vector()
+    u_pfl, qdd = ev.pfl_solution
+    assert np.array_equal(u, u_pfl)
+    assert np.array_equal(qdd[2:], ydd)
+    ref = ev.forward(np.r_[0.0, 0.0, u])
+    assert np.abs(qdd - ref).max() < 1e-9 * (1.0 + np.abs(ref).max())
+
+    ctrl = make_controller("proposed", gains, setpoint)
+    ev = dynamics.evaluate(desk, st.q, st.qd)
+    u = ctrl.u_vector(ev)
+    assert ev.pfl_solution[0] is u
+
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        ev = dynamics.evaluate(desk, st.q, st.qd)
+        ev.M[0, 0] = bad
+        ev.M[1, 1] = abs(bad)
+        with pytest.raises(dynamics.SingularMassError):
+            pfl_input_standard(st, ev.terms, ydd)

@@ -191,8 +191,12 @@ def test_transform_rows_and_blocks(desk):
     # u never enters the first two transformed equations
     TinvT = np.linalg.inv(tt.T).T
     assert np.abs(TinvT[0:2, 2:]).max() < 1e-14
+    # the closed-form Mbar blocks agree with the full T^-T M T^-1; the other
     # block views address the parent matrices exactly
-    assert np.array_equal(tt.Mbar_cm, tt.Mbar[0:2, 3:5])
+    Mbar = TinvT @ tt.M @ TinvT.T
+    scale = np.abs(Mbar).max()
+    assert np.abs(tt.Mbar_cm - Mbar[0:2, 3:5]).max() <= 1e-12 * scale
+    assert np.abs(tt.Mbar_cc - Mbar[0:2, 0:2]).max() <= 1e-12 * scale
     assert np.array_equal(tt.Cbar_cc, tt.Cbar[0:2, 0:2])
     terms = dynamics_terms(desk, q, qd)
     assert np.array_equal(terms.M_phim, terms.M[0:2, 3:5])
@@ -416,3 +420,97 @@ def test_stage_assembles_one_configuration(law, monkeypatch):
     q, qd = random_state(np.random.default_rng(64), model)
     sim._stage(model, q, qd, controller, None)
     assert rows == [dynamics.Eval.CONFIGURATIONS] == [1]
+
+
+@pytest.mark.parametrize("name, model", STAGE_MODELS,
+                         ids=[name for name, _ in STAGE_MODELS])
+def test_closed_form_transform_blocks(name, model):
+    """Mbar_cc and Mbar_cm from the 2x2 closed forms agree with the blocks of
+    the full T^-T M T^-1, and the full Mbar built on first read is that
+    matrix."""
+    rng = np.random.default_rng(65)
+    for _ in range(10):
+        q, qd = random_state(rng, model)
+        ev = evaluate(model, q, qd)
+        Tinv = np.linalg.inv(ev.T)
+        Mbar = Tinv.T @ ev.M @ Tinv
+        scale = np.abs(Mbar).max()
+        assert np.abs(ev.Mbar_cc - Mbar[0:2, 0:2]).max() <= 1e-12 * scale
+        assert np.abs(ev.Mbar_cm - Mbar[0:2, 3:5]).max() <= 1e-12 * scale
+        assert np.abs(ev.Mbar - Mbar).max() <= 1e-12 * scale
+
+
+def _stage_controllers(model):
+    """The four laws with the model's default gains and a setpoint about the
+    zero arm configuration (the laws do not need a balancing q_m*)."""
+    setpoint = control.Setpoint(0.0, np.zeros(model.n_links), np.zeros(2))
+    gains = control.default_gains(model.n_links)
+    return [control.make_controller(law, gains, setpoint)
+            for law in ("motivating", "remark1", "remark2", "proposed")]
+
+
+def _ydd_ref(ctrl, ev):
+    """The output reference the controller imposes, from the public laws."""
+    gains, sp = ctrl.gains, ctrl.setpoint
+    gdd, qrdd = control.outer_refs(ev, sp, gains)
+    qmdd = {"motivating": lambda: control.qm_ref_motivating(ev, ev, gains),
+            "remark1": lambda: control.qm_ref_remark1(ev, ev, gains),
+            "remark2": lambda: control.qm_ref_remark2(ev, ev, sp, gains),
+            "proposed": lambda: control.qm_ref_proposed(ev, ev, sp, gains),
+            }[ctrl.name]()
+    return np.concatenate([[gdd], qmdd, qrdd])
+
+
+@pytest.mark.parametrize("name, model", STAGE_MODELS,
+                         ids=[name for name, _ in STAGE_MODELS])
+def test_lean_stage_is_exact_pfl(name, model):
+    """A controlled stage imposes ydd_ref on the actuated coordinates bit for
+    bit, satisfies M qdd + bias = B u, and its u is the input the
+    transformed-coordinate PFL computes with full N x N algebra."""
+    from pendusim import sim
+
+    rng = np.random.default_rng(66)
+    for ctrl in _stage_controllers(model):
+        for _ in range(3):
+            q, qd = random_state(rng, model)
+            ev, u, qdd, _ = sim._stage(model, q, qd, ctrl, None)
+            ydd = _ydd_ref(ctrl, ev)
+            assert np.array_equal(qdd[2:], ydd), ctrl.name
+            tau = np.zeros(model.dof)
+            tau[2:] = u
+            lhs = ev.M @ qdd + ev.bias
+            scale = max(np.abs(lhs).max(), np.abs(ev.bias).max(), np.abs(u).max())
+            assert np.abs(lhs - tau).max() <= 1e-10 * scale, ctrl.name
+            tt = evaluate(model, q, qd)
+            u_t = control.pfl_input_transformed(tt, tt, ydd).as_vector()
+            assert np.abs(u - u_t).max() <= 1e-9 * max(1.0, np.abs(u_t).max()), ctrl.name
+
+
+@pytest.mark.parametrize("n_links", range(8))
+def test_dynamics_identities_on_random_models(n_links):
+    """On random non-preset models (x-, y-, z-axis and skewed joints, offset
+    joints and CoMs, full inertias): M is symmetric positive definite, g is
+    the gradient of V, and dM/dt - 2C is skew-symmetric.  Derivatives of the
+    engine's own V and M are taken by complex step, so the tolerances sit
+    near roundoff; g is also checked against the independent oracle chain."""
+    rng = np.random.default_rng(70 + n_links)
+    h = 1e-20
+    for _ in range(2):
+        model = random_model(rng, n_links)
+        N = model.dof
+        for _ in range(3):
+            q, qd = random_state(rng, model)
+            M = mass_matrix(model, q)
+            assert np.abs(M - M.T).max() <= 1e-12 * np.abs(M).max()
+            assert np.linalg.eigvalsh(M).min() > 0.0
+
+            g = gravity_vector(model, q)
+            dV = engine.assemble(model, dynamics._complex_rows(q, h * np.eye(N))).V.imag / h
+            gscale = 1.0 + np.abs(g).max()
+            assert np.abs(g - dV).max() <= 1e-10 * gscale
+            assert np.abs(g - oracles.gravity_cs(model, q)).max() <= 1e-9 * gscale
+
+            C = coriolis_matrix(model, q, qd)
+            Mdot = engine.assemble(model, dynamics._complex_rows(q, h * qd[None])).M[0].imag / h
+            S = Mdot - 2.0 * C
+            assert np.abs(S + S.T).max() <= 1e-10 * (1.0 + np.abs(Mdot).max())

@@ -346,13 +346,17 @@ def test_coupling_breakdown_ends_in_report(desk, setpoint, monkeypatch):
     _strict_json(json.dumps(rep.to_dict()))
 
 
-def test_halt_before_first_sample_writes_report(desk, tmp_path):
-    """A massless, inertia-free last link makes M singular everywhere: the
-    run halts before its first logged sample and still writes every output."""
+def _zero_mass_last_link(desk):
     last = desk.links[-1]
     links = desk.links[:-1] + (dataclasses.replace(
         last, mass=0.0, inertia=np.zeros((3, 3))),)
-    model = SystemModel(platform=desk.platform, movers=desk.movers, links=links)
+    return SystemModel(platform=desk.platform, movers=desk.movers, links=links)
+
+
+def test_halt_before_first_sample_writes_report(desk, tmp_path):
+    """A massless, inertia-free last link makes M singular everywhere: the
+    run halts before its first logged sample and still writes every output."""
+    model = _zero_mass_last_link(desk)
     path = tmp_path / "singular.json"
     save_scenario(Scenario(model=model, controller="free", dt=1e-2,
                            duration=1.0, label="singular"), path)
@@ -429,3 +433,116 @@ def test_report_run_block_of_halted_run(desk):
     # decimation interval
     assert traj.t[-1] < steps * 1e-2 <= traj.t[-1] + 10 * 1e-2 + 1e-12
     assert rep.run["stage_evaluations"] == 4 * steps
+
+
+@pytest.mark.parametrize("n_links", [3, 7])
+@pytest.mark.parametrize("law", ["motivating", "remark1", "remark2", "proposed"])
+def test_controlled_stage_makes_no_linalg_call(law, n_links, monkeypatch):
+    """A controlled RK4 stage does its algebra in closed 2x2 forms: with
+    numpy's dense solvers made to raise, every law still evaluates."""
+    from pendusim import sim
+
+    model = preset_paper(n_links)
+    qr_des = np.zeros(n_links)
+    ctrl = control.make_controller(law, control.default_gains(n_links),
+                                   Setpoint(0.0, qr_des, np.zeros(2)))
+    q = np.zeros(model.dof)
+    q[0:2] = [0.03, -0.02]
+    q[3:5] = [0.1, -0.05]
+    qd = np.full(model.dof, 0.1)
+    sim._stage(model, q, qd, ctrl, None)     # warm the per-model caches
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg called in a controlled stage")
+
+    for name in ("solve", "inv", "cond", "lstsq", "pinv", "det", "eig", "svd"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    _, u, qdd, _ = sim._stage(model, q, qd, ctrl, None)
+    assert np.all(np.isfinite(u)) and np.all(np.isfinite(qdd))
+
+
+@pytest.mark.parametrize("law", ["motivating", "remark1", "remark2", "proposed"])
+def test_controlled_law_on_singular_mass_matrix_ends_in_report(desk, law):
+    """With M singular everywhere (a massless, inertia-free last link) the
+    collocated PFL still prescribes every actuated acceleration; whether the
+    run halts or not, it ends in a strict-JSON report."""
+    model = _zero_mass_last_link(desk)
+    sc = Scenario(model=model, controller=law, gains=Gains(),
+                  setpoint=Setpoint(0.0, QR_DES, solve_equilibrium_qm(model, QR_DES)),
+                  dt=1e-2, duration=1.0, decimation=5, label="singular")
+    traj, rep = run(sc)
+    doc = _strict_json(json.dumps(rep.to_dict()))
+    assert doc["escaped"] is traj.escaped
+    assert set(doc["signals"]) == {"phi", "gamma", "qm", "qr", "xc"}
+
+
+def _first_crossing(model, traj):
+    crossed = traj.t[np.abs(traj.q[:, 3:5]).max(axis=1) > model.movers.travel_limit]
+    return float(crossed[0]) if crossed.size else None
+
+
+def test_report_health_block(desk, setpoint, tmp_path):
+    """report.json's health block holds the logged peaks, the first time past
+    the travel limit and the worst conditioning the run's guards saw."""
+    from pendusim import dynamics
+
+    for law in ("proposed", "motivating"):
+        sc = Scenario(model=desk, controller=law, gains=Gains(), setpoint=setpoint,
+                      q0=np.r_[0.05, -0.03, 0.0, setpoint.qm_star, QR_DES],
+                      dt=1e-2, duration=0.5, decimation=1)
+        traj, rep = run(sc)
+        health = _strict_json(json.dumps(rep.to_dict()))["health"]
+        assert list(health["peak_abs_u"]) == ["u_yaw", "u_m1", "u_m2",
+                                              "u_r1", "u_r2", "u_r3"]
+        assert list(health["peak_abs_u"].values()) == np.abs(traj.u).max(axis=0).tolist()
+        assert health["peak_abs_qm"] == np.abs(traj.q[:, 3:5]).max()
+        assert health["travel_limit_first_crossed_t"] == _first_crossing(desk, traj)
+        # decimation 1 logs the first stage of every step
+        evs = [dynamics.Eval(desk, q, qd) for q, qd in zip(traj.q, traj.qd)]
+        if law == "proposed":
+            assert health["worst_cond_T"] == max(ev.cond for ev in evs)
+            assert health["worst_cond_M_phim"] is None
+        else:
+            assert health["worst_cond_T"] is None
+            assert health["worst_cond_M_phim"] == max(ev.cond_phim for ev in evs)
+
+    qd0 = np.zeros(desk.dof)
+    qd0[3] = 0.6
+    sc = Scenario(model=desk, controller="free", qd0=qd0, dt=5e-3,
+                  duration=2.0, decimation=2)
+    traj, rep = run(sc)
+    assert rep.health["travel_limit_first_crossed_t"] == _first_crossing(desk, traj)
+    assert rep.health["travel_limit_first_crossed_t"] is not None
+    assert rep.health["worst_cond_T"] is None
+    assert rep.health["worst_cond_M_phim"] is None
+
+    path = tmp_path / "sc.json"
+    save_scenario(dataclasses.replace(sc, label="health"), path)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+    assert _strict_json((out / "report.json").read_text())["health"] == rep.health
+
+
+def test_report_health_block_of_halted_run(desk, setpoint, monkeypatch):
+    """A run halted before its first sample reports null peaks and null
+    conditioning; one halted later keeps what it logged."""
+    monkeypatch.setattr(control, "M_PHIM_COND_LIMIT", 0.5)
+    sc = Scenario(model=desk, controller="motivating", gains=Gains(),
+                  setpoint=setpoint, dt=1e-2, duration=1.0, decimation=1)
+    _, rep = run(sc)
+    health = _strict_json(json.dumps(rep.to_dict()))["health"]
+    assert rep.escaped
+    assert set(health["peak_abs_u"].values()) == {None}
+    assert health["peak_abs_qm"] is None
+    assert health["worst_cond_M_phim"] is None
+    monkeypatch.undo()
+
+    qd0 = np.zeros(desk.dof)
+    qd0[2] = 600.0  # yaw coasts past the 1e3 coordinate bound
+    sc = Scenario(model=desk, controller="free", qd0=qd0, dt=1e-2,
+                  duration=9.0, decimation=10)
+    traj, rep = run(sc)
+    health = _strict_json(json.dumps(rep.to_dict()))["health"]
+    assert traj.escaped
+    assert health["peak_abs_qm"] == np.abs(traj.q[:, 3:5]).max()
+    assert list(health["peak_abs_u"].values()) == [0.0] * (desk.dof - 2)
