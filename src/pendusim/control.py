@@ -1,13 +1,12 @@
 """Mover reference-acceleration laws and the partial feedback linearization.
 
 PFL makes the actuated output y = (gamma, q_m, q_r) track ydd_ref exactly.
-The outputs are the actuated coordinates themselves (tau = B u with
-B = [0; I]), so the linearization is collocated (Spong 1994): qdd[2:] is
-ydd_ref, roll/pitch follow from the 2x2 block of M, and u from the actuated
-rows; no N x N solve is needed.  Yaw and arm references are plain PD pole
-placement.  The mover reference acceleration is the indirect channel into
-the unactuated roll/pitch (or CoM) dynamics, and four designs of it are
-provided:
+The outputs are the actuated coordinates themselves (tau = (0, 0, u)), so
+the linearization is collocated (Spong 1994): qdd[2:] is ydd_ref, roll/pitch
+follow from the 2x2 block of M, and u from the actuated rows; no N x N solve
+is needed.  Yaw and arm references are plain PD pole placement.  The mover
+reference acceleration is the indirect channel into the unactuated
+roll/pitch (or CoM) dynamics, and four designs of it are provided:
 
   motivating  -- cancel the internal dynamics so roll/pitch converge; the
                  movers are left with pendulum-like residual dynamics.
@@ -18,6 +17,10 @@ provided:
   proposed    -- CoM damping plus mover PD, premultiplied by D, which
                  stabilizes CoM and movers simultaneously (and therefore the
                  attitude, since x_c = 0 with q_m = q_m* levels the platform).
+
+Every law takes a ``dynamics.Eval`` as its state and terms, as
+``law(ev, gains[, setpoint])``; ``pfl_input(ev, ydd_ref)`` turns the
+references into the actuated force vector u = (tau_yaw, tau_m, tau_r).
 """
 
 import logging
@@ -153,89 +156,66 @@ class Setpoint:
                 "qm_star": None if self.qm_star is None else self.qm_star.tolist()}
 
 
-@dataclass(frozen=True)
-class ControlInput:
-    """Actuated forces u = (tau_yaw, tau_m, tau_r); tau = B u has zero
-    roll/pitch rows."""
-
-    tau_yaw: float
-    tau_m: np.ndarray
-    tau_r: np.ndarray
-
-    def as_vector(self):
-        return np.concatenate([[self.tau_yaw], self.tau_m, self.tau_r])
-
-    def as_tau(self):
-        return dynamics.tau_from_u(self.as_vector())
-
-
-def _split_u(u, n):
-    u = np.asarray(u, dtype=float)
-    return ControlInput(float(u[0]), u[1:3].copy(), u[3:3 + n].copy())
-
-
-def outer_refs(state, setpoint, gains):
+def outer_refs(ev, gains, setpoint):
     """PD reference accelerations for yaw and the arm joints."""
-    q, qd = state.q, state.qd
+    q, qd = ev.q, ev.qd
     gdd = -gains.D_gamma * qd[2] - gains.K_gamma * (q[2] - setpoint.gamma_des)
     qrdd = -gains.D_r * qd[5:] - gains.K_r * (q[5:] - setpoint.qr_des)
     return gdd, qrdd
 
 
-def _solve_phim(terms, rhs):
+def _solve_phim(ev, rhs):
     """M_phim^-1 rhs in closed form, behind the coupling conditioning guard
     (cond(M_phim) is read from the evaluation, which keeps it)."""
-    cond = terms.cond_phim
+    cond = ev.cond_phim
     if not cond <= M_PHIM_COND_LIMIT:
         raise SingularCouplingError(
             f"roll/pitch-to-mover coupling condition {cond:.3e} "
             f"exceeds {M_PHIM_COND_LIMIT:.0e}")
-    return np.array(dynamics.solve2(terms.M_phim.tolist(), rhs.tolist()))
+    return np.array(dynamics.solve2(ev.M_phim.tolist(), rhs.tolist()))
 
 
-def qm_ref_motivating(state, terms, gains):
+def qm_ref_motivating(ev, gains):
     """Mover acceleration canceling the roll/pitch internal dynamics."""
-    phi = state.q[0:2]
-    phid = state.qd[0:2]
-    qmd = state.qd[3:5]
-    rhs = gains.D_phi * phid + gains.K_phi * phi - terms.C_phim @ qmd - terms.g_phi
-    return _solve_phim(terms, rhs)
+    phi = ev.q[0:2]
+    phid = ev.qd[0:2]
+    qmd = ev.qd[3:5]
+    rhs = gains.D_phi * phid + gains.K_phi * phi - ev.C_phim @ qmd - ev.g_phi
+    return _solve_phim(ev, rhs)
 
 
-def qm_ref_remark1(state, transformed, gains):
+def qm_ref_remark1(ev, gains):
     """CoM-only damping; contains no mover feedback terms."""
-    del state
-    return transformed.Mbar_cm.T @ (gains.D_c * transformed.xc_dot
-                                    + gains.K_c * transformed.xc)
+    return ev.Mbar_cm.T @ (gains.D_c * ev.xc_dot + gains.K_c * ev.com)
 
 
-def qm_ref_remark2(state, terms, setpoint, gains):
+def qm_ref_remark2(ev, gains, setpoint):
     """Motivating law plus a mover PD term about q_m*."""
-    qm = state.q[3:5]
-    qmd = state.qd[3:5]
-    return (qm_ref_motivating(state, terms, gains)
+    qm = ev.q[3:5]
+    qmd = ev.qd[3:5]
+    return (qm_ref_motivating(ev, gains)
             - gains.D_m * qmd - gains.K_m * (qm - setpoint.qm_star))
 
 
-def qm_ref_proposed(state, transformed, setpoint, gains):
+def qm_ref_proposed(ev, gains, setpoint):
     """CoM damping plus mover PD, scaled by D; the unique rest point is
     (x_c, q_m) = (0, q_m*)."""
-    qm = state.q[3:5]
-    qmd = state.qd[3:5]
-    inner = (transformed.Mbar_cm.T @ (gains.D_c * transformed.xc_dot
-                                      + gains.K_c * transformed.xc)
+    qm = ev.q[3:5]
+    qmd = ev.qd[3:5]
+    inner = (ev.Mbar_cm.T @ (gains.D_c * ev.xc_dot + gains.K_c * ev.com)
              - gains.D_m * qmd - gains.K_m * (qm - setpoint.qm_star))
     return gains.D * inner
 
 
-def _pfl(ev, ydd_ref):
-    """Collocated exact PFL (Spong 1994).  The outputs are the actuated
-    coordinates, so qdd[2:] = ydd_ref; the unactuated roll/pitch rows give
+def pfl_input(ev, ydd_ref):
+    """Collocated exact PFL (Spong 1994): the actuated force vector u that
+    makes qdd[2:] = ydd_ref.  The unactuated roll/pitch rows give
 
         qdd[0:2] = -M_phiphi^-1 (M[0:2, 2:] ydd_ref + bias[0:2]),
 
-    a closed-form 2x2 solve, and u = M[2:] qdd + bias[2:].  Returns u and
-    keeps (u, qdd) on ev as ``pfl_solution``."""
+    a closed-form 2x2 solve, and u = M[2:] qdd + bias[2:]; this equals
+    u = (B' M^-1 B)^-1 (B' M^-1 (C qd + g) + ydd_ref) with B = [0; I].
+    Keeps (u, qdd) on ev as ``pfl_solution``."""
     M, bias = ev.M, ev.bias
     qdd = np.empty(M.shape[0])
     qdd[2:] = ydd_ref
@@ -252,32 +232,21 @@ def _pfl(ev, ydd_ref):
     return u
 
 
-def pfl_input_standard(state, terms, ydd_ref):
-    """Exact linearizing input in the original coordinates, by the collocated
-    PFL; equal to u = (B' M^-1 B)^-1 (B' M^-1 (C qd + g) + ydd_ref).
-    ``terms`` is the Eval at ``state``."""
-    del state
-    u = _pfl(terms, np.asarray(ydd_ref, dtype=float))
-    return _split_u(u, terms.model.n_links)
-
-
-def pfl_input_transformed(state, transformed, ydd_ref):
-    """The same exact linearization computed through the CoM coordinates:
+def pfl_input_transformed(ev, ydd_ref):
+    """The same exact linearization computed through the CoM coordinates with
+    full N x N algebra, as an independent check of ``pfl_input``:
     u = (B' T^-1 Mbar^-1 T^-T B)^-1
         (B' T^-1 (Mbar^-1 (Cbar qbar_d + gbar) + Tdot qd) + ydd_ref)."""
-    T = transformed.T
-    N = T.shape[0]
+    T = ev.T
     Tinv = np.linalg.inv(T)
-    qbar_d = T @ state.qd
+    qbar_d = T @ ev.qd
     # T^-T B is the trailing N-2 columns of T^-T, i.e. Tinv[2:, :].T.
-    W = np.linalg.solve(transformed.Mbar, Tinv[2:, :].T)
+    W = np.linalg.solve(ev.Mbar, Tinv[2:, :].T)
     G = (Tinv @ W)[2:]
-    inner = (np.linalg.solve(transformed.Mbar,
-                             transformed.Cbar @ qbar_d + transformed.gbar)
-             + transformed.Tdot @ state.qd)
+    inner = (np.linalg.solve(ev.Mbar, ev.Cbar @ qbar_d + ev.gbar)
+             + ev.Tdot @ ev.qd)
     rhs = (Tinv @ inner)[2:]
-    u = np.linalg.solve(G, rhs + np.asarray(ydd_ref, dtype=float))
-    return _split_u(u, N - 5)
+    return np.linalg.solve(G, rhs + np.asarray(ydd_ref, dtype=float))
 
 
 def balance_residual(model, qm, qr_des, gamma_des=0.0):
@@ -343,32 +312,30 @@ class Controller:
         self.name = name
         self.gains = gains
         self.setpoint = setpoint
-        self.needs_transform = name in ("remark1", "proposed")
         self.reads_coupling = name in ("motivating", "remark2")
         if name == "proposed" and gains is not None and not gains.ratio_ok:
             logger.warning("proposed law used without the D_c, K_c >> D_m, K_m "
                            "gain ordering; convergence is not guaranteed")
 
     def u_vector(self, ev):
-        """Actuated force vector u for the fused evaluation ev, which also
-        serves as the state and the (transformed) terms of the laws."""
+        """Actuated force vector u at the evaluation ev."""
         if self.name == "free":
             return np.zeros(ev.model.dof - 2)
         gains, sp = self.gains, self.setpoint
-        gdd, qrdd = outer_refs(ev, sp, gains)
+        gdd, qrdd = outer_refs(ev, gains, sp)
         if self.name == "motivating":
-            qmdd = qm_ref_motivating(ev, ev, gains)
+            qmdd = qm_ref_motivating(ev, gains)
         elif self.name == "remark1":
-            qmdd = qm_ref_remark1(ev, ev, gains)
+            qmdd = qm_ref_remark1(ev, gains)
         elif self.name == "remark2":
-            qmdd = qm_ref_remark2(ev, ev, sp, gains)
+            qmdd = qm_ref_remark2(ev, gains, sp)
         else:
-            qmdd = qm_ref_proposed(ev, ev, sp, gains)
+            qmdd = qm_ref_proposed(ev, gains, sp)
         ydd_ref = np.empty(ev.model.dof - 2)
         ydd_ref[0] = gdd
         ydd_ref[1:3] = qmdd
         ydd_ref[3:] = qrdd
-        return _pfl(ev, ydd_ref)
+        return pfl_input(ev, ydd_ref)
 
 
 def make_controller(name, gains=None, setpoint=None):

@@ -1,11 +1,13 @@
 """Equation-of-motion terms, the CoM coordinate transform, and forward dynamics.
 
-The rigid-body equation is M(q) qdd + C(q, qd) qd + g(q) = tau with tau = B u
-actuating everything except roll and pitch.  One RK4 stage assembles a single
-complex configuration q + i h qd (h = 1e-20): its real parts are M, g, the
-CoM data and the body Jacobians, its imaginary parts the exact Jacobian rates
-along qd (complex-step differentiation).  From these the stage reads the bias
-C qd + g as the Newton-Euler forces projected through the Jacobians,
+The rigid-body equation is M(q) qdd + C(q, qd) qd + g(q) = tau with
+tau = (0, 0, u): the actuated forces u drive every coordinate except roll and
+pitch.  Every term below is read from one ``Eval(model, q, qd)``, which
+assembles a single complex configuration q + i h qd (h = 1e-20): its real
+parts are M, g, the CoM data and the body Jacobians, its imaginary parts the
+exact Jacobian rates along qd (complex-step differentiation).  From these
+it reads the bias C qd + g as the Newton-Euler forces projected through the
+Jacobians,
 
     C qd + g = sum_b Jv_b' m_b Jv_b_dot qd + Jw_b' (I_b Jw_b_dot qd
                + w_b x I_b w_b) + g,
@@ -26,15 +28,17 @@ laws read have closed forms,
     Mbar_cc = A^-T M_phiphi A^-1,
     Mbar_cm = A^-T (M_phim - M_phiphi A^-1 Jcom[:, 3:5]),
 
-evaluated on 2x2 floats; T, its rate, T^-1 and the full Mbar are built only
-when read.  A controlled stage therefore makes no linear-algebra call.
+evaluated on 2x2 floats behind the cond(T) guard when a law first reads
+them; T, its rate, T^-1 and the full Mbar are built only when read.  A
+controlled stage therefore makes no linear-algebra call.  The one mass-matrix
+solve, ``Eval.act_solve``, serves forward dynamics: the free law and any
+applied force outside the collocated PFL.
 """
 
 import functools
 import math
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import engine
 
@@ -43,25 +47,11 @@ COND_LIMIT = 1e8        # transform conditioning guard
 
 
 class SingularMassError(RuntimeError):
-    """Mass matrix factorization failed (reports the condition estimate)."""
+    """A mass-matrix solve failed (reports the condition estimate)."""
 
 
 class IllConditionedTransformError(RuntimeError):
     """CoM coordinate transform is too ill-conditioned to invert."""
-
-
-def selection_matrix(model):
-    """Actuation map B (N x N-2): zeros atop identity, so tau = B @ u leaves
-    roll and pitch unactuated."""
-    N = model.dof
-    B = np.zeros((N, N - 2))
-    B[2:, :] = np.eye(N - 2)
-    return B
-
-
-def tau_from_u(u):
-    """Embed the actuated forces u = (tau_yaw, tau_m, tau_r) into tau = B u."""
-    return np.concatenate([np.zeros(2), np.asarray(u, dtype=float)])
 
 
 def singular_values_sq2(A):
@@ -117,47 +107,38 @@ def _dM_steps(N):
     return D
 
 
-@functools.lru_cache(maxsize=None)
-def _act_rhs(N):
-    """[B | 0]: the actuation map with an empty column for the bias (shared;
-    read only)."""
-    rhs = np.zeros((N, N - 1))
-    rhs[2:, :N - 2] = np.eye(N - 2)
-    return rhs
-
-
 class Eval:
     """Fused per-state evaluation shared by the simulator and controllers.
 
     One engine call on the complex configuration q + i h qd provides M, g,
-    the potential, CoM data, the bias C qd + g, the Christoffel block C_phim
-    and, when requested, the closed-form transformed blocks Mbar_cc and
-    Mbar_cm behind the cond(T) guard.  C_phim needs no full C: only the
-    point-mass movers have mover columns in their point Jacobians and no
-    rotating body depends on q_m, so the Christoffel symbols reduce to
+    the potential, CoM data, the bias C qd + g and the Christoffel block
+    C_phim.  C_phim needs no full C: only the point-mass movers have mover
+    columns in their point Jacobians and no rotating body depends on q_m, so
+    the Christoffel symbols reduce to
 
         C_phim = sum over movers b of m_b Jv_b[:, 0:2]' Jv_b_dot[:, 3:5].
 
-    dM/dq (yaw slice analytic zero: the kinetic energy is invariant under
-    yaw), the full Christoffel C, the transform T, its rate Tdot, T^-1, the
-    full Mbar and the transformed Cbar, gbar are built on first read, as is
-    cond(M_phim), which the coupling guard of the laws reads.  The named
-    blocks read by the oscillation-damping laws are attributes or
-    properties, so an Eval serves as the state, the dynamics terms and the
-    transformed terms those laws take.  ``pfl_solution`` holds the (u, qdd)
-    pair of the last collocated PFL at this state (see control._pfl), which
-    the simulation stage integrates without a second solve.
+    Everything else is built on first read: the closed-form transformed
+    blocks Mbar_cc and Mbar_cm behind the cond(T) guard (``cond`` is None
+    until then), dM/dq (yaw slice analytic zero: the kinetic energy is
+    invariant under yaw), the full Christoffel C, the transform T, its rate
+    Tdot, T^-1, the full Mbar, the transformed Cbar, gbar, and cond(M_phim),
+    which the coupling guard of the laws reads.  The laws take an Eval as
+    both the state and its dynamics terms.  ``pfl_solution`` holds the
+    (u, qdd) pair of the last collocated PFL at this state (see
+    control.pfl_input), which the simulation stage integrates without a
+    mass-matrix solve.
     """
 
     #: Configurations one evaluation assembles.
     CONFIGURATIONS = 1
 
     __slots__ = ("model", "q", "qd", "M", "g", "bias", "V", "com", "Jcom",
-                 "C_phim", "Mbar_cc", "Mbar_cm", "cond", "pfl_solution",
+                 "C_phim", "cond", "pfl_solution", "_Mbar_cc", "_Mbar_cm",
                  "_Jcom_c", "_T", "_Tdot", "_Tinv", "_Mbar", "_cond_phim",
-                 "_dM", "_C", "_Cbar", "_gbar", "_cho", "_act")
+                 "_dM", "_C", "_Cbar", "_gbar")
 
-    def __init__(self, model, q, qd, need_transform=True):
+    def __init__(self, model, q, qd):
         q = np.asarray(q, dtype=float)
         qd = np.asarray(qd, dtype=float)
         N = model.dof
@@ -174,7 +155,10 @@ class Eval:
         self.com = a.com[0].real
         self._Jcom_c = a.Jcom[0]
         self.Jcom = self._Jcom_c.real
+        self.cond = None
         self.pfl_solution = None
+        self._Mbar_cc = None
+        self._Mbar_cm = None
         self._T = None
         self._Tdot = None
         self._Tinv = None
@@ -184,8 +168,6 @@ class Eval:
         self._C = None
         self._Cbar = None
         self._gbar = None
-        self._cho = None
-        self._act = None
 
         # Newton-Euler bias: the imaginary parts of the body momenta m Jv qd
         # and Iw Jw qd are h times their rates at qdd = 0, m Jv_dot qd and
@@ -199,13 +181,11 @@ class Eval:
         Jm = a.Jv[0, 1:3].reshape(6, N)
         self.C_phim = (Jm[:, 0:2].real.T @ Jm[:, 3:5].imag) * (model.movers.mass / h)
 
-        if not need_transform:
-            self.Mbar_cc = None
-            self.Mbar_cm = None
-            self.cond = None
-            return
-        # T is block-triangular [[A, D], [0, I]]; its conditioning is
-        # governed by the 2x2 attitude block A, estimated cheaply here.
+    def _transform_blocks(self):
+        """Set cond and the closed-form Mbar_cc, Mbar_cm, or raise
+        IllConditionedTransformError.  T is block-triangular [[A, D], [0, I]];
+        its conditioning is governed by the 2x2 attitude block A, estimated
+        cheaply here."""
         J0, J1 = self.Jcom.tolist()
         A = (J0[0:2], J1[0:2])
         _, smin_sq = singular_values_sq2(A)
@@ -220,14 +200,28 @@ class Eval:
         AiT = tuple(zip(*Ai))
         W = mul2((M0[0:2], M1[0:2]), Ai)             # M_phiphi A^-1
         X = mul2(W, (J0[3:5], J1[3:5]))
-        self.Mbar_cc = np.array(mul2(AiT, W))
-        self.Mbar_cm = np.array(mul2(AiT, ((M0[3] - X[0][0], M0[4] - X[0][1]),
-                                           (M1[3] - X[1][0], M1[4] - X[1][1]))))
+        self._Mbar_cc = np.array(mul2(AiT, W))
+        self._Mbar_cm = np.array(mul2(AiT, ((M0[3] - X[0][0], M0[4] - X[0][1]),
+                                            (M1[3] - X[1][0], M1[4] - X[1][1]))))
+
+    @property
+    def Mbar_cc(self):
+        """CoM-CoM block of Mbar, closed form: A^-T M_phiphi A^-1."""
+        if self._Mbar_cc is None:
+            self._transform_blocks()
+        return self._Mbar_cc
+
+    @property
+    def Mbar_cm(self):
+        """CoM-mover block of Mbar, closed form."""
+        if self._Mbar_cm is None:
+            self._transform_blocks()
+        return self._Mbar_cm
 
     @property
     def T(self):
-        """CoM transform [[Jcom], [0, I]], or None without the transform."""
-        if self._T is None and self.cond is not None:
+        """CoM transform [[Jcom], [0, I]]."""
+        if self._T is None:
             T = np.eye(self.model.dof)
             T[0:2] = self.Jcom
             self._T = T
@@ -236,7 +230,7 @@ class Eval:
     @property
     def Tdot(self):
         """Rate of T along qd: the exact Jcom rate from the complex row."""
-        if self._Tdot is None and self.cond is not None:
+        if self._Tdot is None:
             N = self.model.dof
             Tdot = np.zeros((N, N))
             Tdot[0:2] = self._Jcom_c.imag / CS_STEP
@@ -245,15 +239,18 @@ class Eval:
 
     @property
     def Tinv(self):
-        """T^-1, for the full transformed terms only (verify, tests)."""
-        if self._Tinv is None and self.cond is not None:
+        """T^-1 behind the cond(T) guard, for the full transformed terms only
+        (verify, tests)."""
+        if self._Tinv is None:
+            if self._Mbar_cc is None:
+                self._transform_blocks()
             self._Tinv = np.linalg.inv(self.T)
         return self._Tinv
 
     @property
     def Mbar(self):
         """Full transformed mass matrix T^-T M T^-1."""
-        if self._Mbar is None and self.cond is not None:
+        if self._Mbar is None:
             Tinv = self.Tinv
             self._Mbar = Tinv.T @ self.M @ Tinv
         return self._Mbar
@@ -295,26 +292,16 @@ class Eval:
 
     @property
     def Cbar(self):
-        if self._Cbar is None and self.cond is not None:
+        if self._Cbar is None:
             Tinv = self.Tinv
             self._Cbar = Tinv.T @ (self.C - self.M @ Tinv @ self.Tdot) @ Tinv
         return self._Cbar
 
     @property
     def gbar(self):
-        if self._gbar is None and self.cond is not None:
+        if self._gbar is None:
             self._gbar = self.Tinv.T @ self.g
         return self._gbar
-
-    @property
-    def terms(self):
-        return self
-
-    @property
-    def transformed(self):
-        if self.cond is None:
-            raise ValueError("evaluation was built without transformed terms")
-        return self
 
     @property
     def M_phim(self):
@@ -337,56 +324,24 @@ class Eval:
         return self.gbar[0:2]
 
     @property
-    def xc(self):
-        return self.com
-
-    @property
     def xc_dot(self):
         return self.Jcom @ self.qd
 
-    def act_solve(self):
-        """M^{-1} [B | bias] in one stacked solve; the simulation loop and the
-        feedback-linearizing input both read from it."""
-        if self._act is None:
-            N = self.M.shape[0]
-            rhs = _act_rhs(N).copy()
-            rhs[:, N - 2] = self.bias
-            try:
-                self._act = np.linalg.solve(self.M, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise SingularMassError(
-                    f"mass matrix solve failed (cond {np.linalg.cond(self.M):.3e})"
-                ) from exc
-        return self._act
-
-    def cho(self):
-        if self._cho is None:
-            try:
-                self._cho = cho_factor(self.M)
-            except np.linalg.LinAlgError as exc:
-                cond = np.linalg.cond(self.M)
-                raise SingularMassError(
-                    f"mass matrix factorization failed (cond {cond:.3e})") from exc
-        return self._cho
-
-    def solve_M(self, rhs):
-        """M x = rhs with one step of iterative refinement."""
-        cho = self.cho()
-        x = cho_solve(cho, rhs)
-        x += cho_solve(cho, rhs - self.M @ x)
-        return x
+    def act_solve(self, rhs):
+        """M^-1 rhs: the one mass-matrix solve, by LU."""
+        try:
+            return np.linalg.solve(self.M, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMassError(
+                f"mass matrix solve failed (cond {np.linalg.cond(self.M):.3e})"
+            ) from exc
 
     def forward(self, tau):
         """Joint accelerations for the applied generalized force tau."""
-        return self.solve_M(tau - self.bias)
+        return self.act_solve(tau - self.bias)
 
     def kinetic_energy(self):
         return 0.5 * float(self.qd @ self.M @ self.qd)
-
-
-def evaluate(model, q, qd, need_transform=True):
-    """Build the fused evaluation at (q, qd)."""
-    return Eval(model, q, qd, need_transform=need_transform)
 
 
 def mass_matrix(model, q):
@@ -413,34 +368,17 @@ def kinetic_energy(model, q, qd):
 
 def mass_matrix_derivatives(model, q):
     """dM/dq as an (N, N, N) tensor indexed [i, j, k] = dM_jk/dq_i."""
-    return Eval(model, q, np.zeros(model.dof), need_transform=False).dM
+    return Eval(model, q, np.zeros(model.dof)).dM
 
 
 def coriolis_matrix(model, q, qd):
     """Christoffel-consistent Coriolis matrix C(q, qd)."""
-    return Eval(model, q, qd, need_transform=False).C
-
-
-def dynamics_terms(model, q, qd):
-    """Eval holding M, C, g and their named blocks at one state."""
-    return Eval(model, q, qd, need_transform=False)
+    return Eval(model, q, qd).C
 
 
 def forward_dynamics(model, q, qd, tau):
-    """qdd = M^{-1}(tau - C qd - g) with iterative refinement on the solve."""
+    """qdd = M^{-1}(tau - C qd - g)."""
     tau = np.asarray(tau, dtype=float)
     if not np.all(np.isfinite(tau)):
         raise ValueError("tau must be finite")
-    return Eval(model, q, qd, need_transform=False).forward(tau)
-
-
-def transform(model, q, qd):
-    """Eval with the terms in CoM coordinates; the conditioning guard here
-    uses the exact condition number of T, stored as ``cond``."""
-    ev = Eval(model, q, qd, need_transform=True)
-    cond = float(np.linalg.cond(ev.T))
-    if cond > COND_LIMIT:
-        raise IllConditionedTransformError(
-            f"cond(T) = {cond:.3e} exceeds {COND_LIMIT:.0e}")
-    ev.cond = cond
-    return ev
+    return Eval(model, q, qd).forward(tau)

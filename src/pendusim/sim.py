@@ -207,20 +207,21 @@ def _check_state(q, qd, t):
 def _stage(model, q, qd, controller, tau_ext):
     """One derivative evaluation of the closed loop.  When u came from the
     collocated PFL, the accelerations it solved for are integrated as they
-    are; any other input (the free law, a bare u) goes through M^-1."""
-    ev = dynamics.Eval(model, q, qd, need_transform=controller.needs_transform)
+    are, plus M^-1 tau_ext; any other input (the free law, a bare u) goes
+    through forward dynamics with tau_ext in the applied force."""
+    ev = dynamics.Eval(model, q, qd)
     u = controller.u_vector(ev)
-    pfl = ev.pfl_solution
-    if pfl is not None and pfl[0] is u:
-        qdd = pfl[1]
-    else:
-        X = ev.act_solve()
-        qdd = X[:, :-1] @ u - X[:, -1]
     tau_act = np.zeros(qd.size)
     tau_act[2:] = u
     if tau_ext is not None:
-        qdd = qdd + ev.solve_M(tau_ext)
         tau_act = tau_act + tau_ext
+    pfl = ev.pfl_solution
+    if pfl is not None and pfl[0] is u:
+        qdd = pfl[1]
+        if tau_ext is not None:
+            qdd = qdd + ev.act_solve(tau_ext)
+    else:
+        qdd = ev.forward(tau_act)
     return ev, u, qdd, float(qd @ tau_act)
 
 
@@ -293,7 +294,7 @@ def run(scenario):
     try:
         while True:
             ev1, u1, a1, p1 = _stage(model, q, qd, controller, tau_ext)
-            if controller.needs_transform and ev1.cond > cond_T:
+            if ev1.cond is not None and ev1.cond > cond_T:
                 cond_T = ev1.cond
             if controller.reads_coupling and ev1.cond_phim > cond_phim:
                 cond_phim = ev1.cond_phim
@@ -303,7 +304,7 @@ def run(scenario):
                 qd_log[rec] = qd
                 u_log[rec] = u1
                 xc_log[rec] = ev1.com
-                ek_log[rec] = 0.5 * (qd @ ev1.M @ qd)
+                ek_log[rec] = ev1.kinetic_energy()
                 ep_log[rec] = ev1.V
                 w_log[rec] = work
                 rec += 1

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics, engine
-from .control import (balance_residual, pfl_input_standard,
-                      pfl_input_transformed, solve_equilibrium_qm)
-from .model import State, preset_paper
+from .control import (balance_residual, pfl_input, pfl_input_transformed,
+                      solve_equilibrium_qm)
+from .model import preset_paper
 
 
 @dataclass
@@ -87,7 +87,7 @@ def check_stage_terms(model, rng, n_states=50):
     worst_bias, worst_cphim = 0.0, 0.0
     for _ in range(n_states):
         q, qd = random_state(rng, model)
-        ev = dynamics.evaluate(model, q, qd, need_transform=False)
+        ev = dynamics.Eval(model, q, qd)
         C = ev.C
         ref = C @ qd + ev.g
         worst_bias = max(worst_bias, np.abs(ev.bias - ref).max()
@@ -106,7 +106,7 @@ def check_transform_blocks(model, rng, n_states=50):
     worst_cc, worst_cm = 0.0, 0.0
     for _ in range(n_states):
         q, qd = random_state(rng, model)
-        ev = dynamics.evaluate(model, q, qd)
+        ev = dynamics.Eval(model, q, qd)
         Tinv = np.linalg.inv(ev.T)
         Mbar = Tinv.T @ ev.M @ Tinv
         scale = np.abs(Mbar).max()
@@ -122,15 +122,13 @@ def check_pfl(model, rng, n_states=50):
     worst_closure, worst_agree = 0.0, 0.0
     for _ in range(n_states):
         q, qd = random_state(rng, model)
-        st = State(0.0, q, qd)
-        ev = dynamics.evaluate(model, q, qd)
+        ev = dynamics.Eval(model, q, qd)
         ydd = rng.uniform(-2.0, 2.0, model.dof - 2)
-        u_s = pfl_input_standard(st, ev.terms, ydd)
-        u_t = pfl_input_transformed(st, ev.transformed, ydd)
-        worst_agree = max(worst_agree,
-                          np.abs(u_s.as_vector() - u_t.as_vector()).max())
+        u_s = pfl_input(ev, ydd)
+        u_t = pfl_input_transformed(ev, ydd)
+        worst_agree = max(worst_agree, np.abs(u_s - u_t).max())
         for u in (u_s, u_t):
-            qdd = dynamics.forward_dynamics(model, q, qd, u.as_tau())
+            qdd = dynamics.forward_dynamics(model, q, qd, np.r_[0.0, 0.0, u])
             worst_closure = max(worst_closure, np.abs(qdd[2:] - ydd).max())
     ok = worst_closure < 1e-7 and worst_agree < 1e-6
     return PropertyResult("feedback linearization exact (both forms)", ok,
@@ -141,13 +139,12 @@ def check_transform_consistency(model, rng, n_states=50):
     worst = 0.0
     for _ in range(n_states):
         q, qd = random_state(rng, model)
-        ev = dynamics.evaluate(model, q, qd)
+        ev = dynamics.Eval(model, q, qd)
         tau = rng.uniform(-5.0, 5.0, model.dof)
         tau[:2] = 0.0
         qdd = ev.forward(tau)
-        tt = ev.transformed
-        lhs = tt.Mbar @ (tt.T @ qdd + tt.Tdot @ qd) + tt.Cbar @ (tt.T @ qd) + tt.gbar
-        rhs = np.linalg.solve(tt.T.T, tau)
+        lhs = ev.Mbar @ (ev.T @ qdd + ev.Tdot @ qd) + ev.Cbar @ (ev.T @ qd) + ev.gbar
+        rhs = np.linalg.solve(ev.T.T, tau)
         worst = max(worst, np.abs(lhs - rhs).max() / (1.0 + np.abs(rhs).max()))
     ok = worst < 1e-6
     return PropertyResult("transformed dynamics consistent", ok,

@@ -9,9 +9,9 @@ import pytest
 
 import oracles
 from pendusim import cli, dynamics, engine, sim
-from pendusim.control import (Gains, pfl_input_standard,
-                              pfl_input_transformed, solve_equilibrium_qm)
-from pendusim.model import State, preset_paper
+from pendusim.control import (Gains, pfl_input, pfl_input_transformed,
+                              solve_equilibrium_qm)
+from pendusim.model import preset_paper
 from pendusim.sim import CONVERGED, DIVERGED, INCONCLUSIVE, LIMIT_CYCLE
 
 
@@ -28,8 +28,8 @@ def criterion(num, desc):
 @pytest.fixture(scope="module")
 def desk():
     model = preset_paper(3)
-    # warm the JIT kernel so wall-time measurements see steady state
-    dynamics.evaluate(model, np.zeros(model.dof), np.zeros(model.dof))
+    # warm the per-model caches so wall-time measurements see steady state
+    dynamics.Eval(model, np.zeros(model.dof), np.zeros(model.dof))
     return model
 
 
@@ -80,7 +80,7 @@ def test_criterion_1_dynamics_oracle_suite(desk):
         h = 1e-6
         for _ in range(1000):
             q, qd = random_state(rng, desk)
-            ev = dynamics.evaluate(desk, q, qd, need_transform=False)
+            ev = dynamics.Eval(desk, q, qd)
             M = ev.M
             assert np.abs(M - M.T).max() < 1e-10 * np.abs(M).max()
             assert np.linalg.eigvalsh(M).min() > 0.0
@@ -131,14 +131,13 @@ def test_criterion_3_pfl_exactness(desk):
         rng = np.random.default_rng(101)
         for _ in range(100):
             q, qd = random_state(rng, desk)
-            st = State(0.0, q, qd)
-            ev = dynamics.evaluate(desk, q, qd)
+            ev = dynamics.Eval(desk, q, qd)
             ydd = rng.uniform(-2.0, 2.0, desk.dof - 2)
-            u_s = pfl_input_standard(st, ev.terms, ydd)
-            u_t = pfl_input_transformed(st, ev.transformed, ydd)
-            assert np.abs(u_s.as_vector() - u_t.as_vector()).max() < 1e-6
+            u_s = pfl_input(ev, ydd)
+            u_t = pfl_input_transformed(ev, ydd)
+            assert np.abs(u_s - u_t).max() < 1e-6
             for u in (u_s, u_t):
-                qdd = dynamics.forward_dynamics(desk, q, qd, u.as_tau())
+                qdd = dynamics.forward_dynamics(desk, q, qd, np.r_[0.0, 0.0, u])
                 assert np.abs(qdd[2:] - ydd).max() < 1e-7
 
 

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pendusim
 from pendusim import cli, sim
 from pendusim.control import Gains, Setpoint, solve_equilibrium_qm
 from pendusim.model import model_to_dict, preset_paper
@@ -140,3 +144,13 @@ def test_equilibrium_unreachable_exits_1(tmp_path, desk, capsys):
 def test_usage_error_exits_2():
     assert cli.main(["bogus-command"]) == 2
     assert cli.main(["run", "--preset", "not-a-preset"]) == 2
+
+
+def test_cli_import_loads_no_scipy():
+    """The runtime needs numpy only; scipy is a test oracle."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pendusim.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, pendusim.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 from scipy.optimize import root
 
-from pendusim import control, dynamics, engine
-from pendusim.control import (ControlInput, Gains, NoConvergenceError,
-                              Setpoint, SingularCouplingError, default_gains,
-                              make_controller, outer_refs, pfl_input_standard,
+from pendusim import control, dynamics, engine, sim
+from pendusim.control import (Gains, NoConvergenceError, Setpoint,
+                              SingularCouplingError, default_gains,
+                              make_controller, outer_refs, pfl_input,
                               pfl_input_transformed, qm_ref_motivating,
                               qm_ref_proposed, qm_ref_remark1, qm_ref_remark2,
                               solve_equilibrium_qm)
-from pendusim.model import SerialLink, State, SystemModel, preset_paper
+from pendusim.dynamics import Eval
+from pendusim.model import SerialLink, SystemModel, preset_paper
 
 QR_DES = np.array([np.pi / 4, np.pi / 2, 0.0])
 
@@ -29,14 +30,14 @@ def gains():
     return Gains()
 
 
-def random_state(rng, model, attitude=0.35, rate=0.8):
+def random_eval(rng, model, attitude=0.35, rate=0.8):
     q = np.concatenate([
         rng.uniform(-attitude, attitude, 2),
         rng.uniform(-1.0, 1.0, 1),
         rng.uniform(-0.5, 0.5, 2),
         rng.uniform(-1.0, 1.0, model.n_links),
     ])
-    return State(0.0, q, rng.uniform(-rate, rate, model.dof))
+    return Eval(model, q, rng.uniform(-rate, rate, model.dof))
 
 
 def g_phi_at(model, qm, qr, gamma=0.0):
@@ -58,8 +59,7 @@ def test_gains_validation():
 def test_outer_refs_at_setpoint(desk, setpoint, gains):
     q = np.concatenate([[0.0, 0.0, setpoint.gamma_des], setpoint.qm_star,
                         setpoint.qr_des])
-    st = State(0.0, q, np.zeros(desk.dof))
-    gdd, qrdd = outer_refs(st, setpoint, gains)
+    gdd, qrdd = outer_refs(Eval(desk, q, np.zeros(desk.dof)), gains, setpoint)
     assert gdd == 0.0
     assert np.abs(qrdd).max() == 0.0
 
@@ -69,8 +69,7 @@ def test_outer_refs_pd_arithmetic(desk, setpoint):
     q = np.zeros(desk.dof)
     q[2] = setpoint.gamma_des + 0.1
     q[5:] = setpoint.qr_des
-    st = State(0.0, q, np.zeros(desk.dof))
-    gdd, _ = outer_refs(st, setpoint, gains)
+    gdd, _ = outer_refs(Eval(desk, q, np.zeros(desk.dof)), gains, setpoint)
     assert gdd == pytest.approx(-2.5, rel=1e-12)
 
 
@@ -88,20 +87,10 @@ def test_yaw_tracks_designed_second_order_poles(desk, setpoint, gains):
     assert np.abs(traj.q[:, 2] - analytic).max() < 0.02 * 0.3
 
 
-def test_control_input_layout(desk):
-    u = ControlInput(1.5, np.array([2.0, 3.0]), np.array([4.0, 5.0, 6.0]))
-    vec = u.as_vector()
-    assert np.array_equal(vec, [1.5, 2, 3, 4, 5, 6])
-    tau = u.as_tau()
-    assert np.abs(tau[:2]).max() == 0.0
-    assert np.array_equal(tau[2:], vec)
-
-
 def test_motivating_law_trivial_zero(desk, gains):
     # at phi=0, rates=0, g_phi=0 every term vanishes
-    st = State(0.0, np.zeros(desk.dof), np.zeros(desk.dof))
-    terms = dynamics.dynamics_terms(desk, st.q, st.qd)
-    assert np.abs(qm_ref_motivating(st, terms, gains)).max() < 1e-12
+    ev = Eval(desk, np.zeros(desk.dof), np.zeros(desk.dof))
+    assert np.abs(qm_ref_motivating(ev, gains)).max() < 1e-12
 
 
 def test_motivating_law_internal_dynamics_residual(desk, gains):
@@ -109,26 +98,23 @@ def test_motivating_law_internal_dynamics_residual(desk, gains):
     must leave exactly the designed PD dynamics."""
     rng = np.random.default_rng(30)
     for _ in range(25):
-        st = random_state(rng, desk)
-        terms = dynamics.dynamics_terms(desk, st.q, st.qd)
-        qmdd = qm_ref_motivating(st, terms, gains)
-        lhs = (terms.M_phim @ qmdd + terms.C_phim @ st.qd[3:5] + terms.g_phi)
-        designed = gains.D_phi * st.qd[0:2] + gains.K_phi * st.q[0:2]
+        ev = random_eval(rng, desk)
+        qmdd = qm_ref_motivating(ev, gains)
+        lhs = (ev.M_phim @ qmdd + ev.C_phim @ ev.qd[3:5] + ev.g_phi)
+        designed = gains.D_phi * ev.qd[0:2] + gains.K_phi * ev.q[0:2]
         assert np.abs(lhs - designed).max() < 1e-9 * (1.0 + np.abs(designed).max())
 
 
 def test_motivating_singular_coupling_guard(desk, gains, monkeypatch):
-    st = State(0.0, np.zeros(desk.dof), np.zeros(desk.dof))
-    terms = dynamics.dynamics_terms(desk, st.q, st.qd)
+    ev = Eval(desk, np.zeros(desk.dof), np.zeros(desk.dof))
     monkeypatch.setattr(control, "M_PHIM_COND_LIMIT", 0.5)
     with pytest.raises(SingularCouplingError):
-        qm_ref_motivating(st, terms, gains)
+        qm_ref_motivating(ev, gains)
 
 
 def test_remark1_trivial_zero(desk, gains):
-    st = State(0.0, np.zeros(desk.dof), np.zeros(desk.dof))
-    tt = dynamics.transform(desk, st.q, st.qd)
-    assert np.abs(qm_ref_remark1(st, tt, gains)).max() < 1e-12
+    ev = Eval(desk, np.zeros(desk.dof), np.zeros(desk.dof))
+    assert np.abs(qm_ref_remark1(ev, gains)).max() < 1e-12
 
 
 def test_remark1_pushes_com_back(desk, gains):
@@ -140,14 +126,12 @@ def test_remark1_pushes_com_back(desk, gains):
         q = np.zeros(desk.dof)
         q[3:5] = rng.uniform(-0.3, 0.3, 2)
         q[5:] = rng.uniform(-0.5, 0.5, 3)
-        st = State(0.0, q, np.zeros(desk.dof))
-        ev = dynamics.evaluate(desk, st.q, st.qd)
+        ev = Eval(desk, q, np.zeros(desk.dof))
         xc = ev.com
         if np.linalg.norm(xc) < 1e-6:
             continue
-        qmdd = qm_ref_remark1(st, ev.transformed, gains)
-        com_acc = -np.linalg.solve(ev.transformed.Mbar_cc,
-                                   ev.transformed.Mbar_cm @ qmdd)
+        qmdd = qm_ref_remark1(ev, gains)
+        com_acc = -np.linalg.solve(ev.Mbar_cc, ev.Mbar_cm @ qmdd)
         assert float(com_acc @ xc) < 0.0
         hits += 1
     assert hits >= 20
@@ -155,19 +139,18 @@ def test_remark1_pushes_com_back(desk, gains):
 
 def test_remark2_trivial_zero(desk, setpoint, gains):
     q = np.concatenate([[0.0, 0.0, 0.0], setpoint.qm_star, setpoint.qr_des])
-    st = State(0.0, q, np.zeros(desk.dof))
-    terms = dynamics.dynamics_terms(desk, st.q, st.qd)
-    assert np.abs(qm_ref_remark2(st, terms, setpoint, gains)).max() < 1e-10
+    ev = Eval(desk, q, np.zeros(desk.dof))
+    assert np.abs(qm_ref_remark2(ev, gains, setpoint)).max() < 1e-10
 
 
 def _rest_residual_remark2(model, setpoint, gains, x):
     """Stationarity of the remark-2 closed loop at zero rates."""
     phi, qm = x[0:2], x[2:4]
     q = np.concatenate([phi, [0.0], qm, setpoint.qr_des])
-    terms = dynamics.dynamics_terms(model, q, np.zeros(model.dof))
-    lhs = np.linalg.solve(terms.M_phim, gains.K_phi * phi)
+    ev = Eval(model, q, np.zeros(model.dof))
+    lhs = np.linalg.solve(ev.M_phim, gains.K_phi * phi)
     return np.concatenate([lhs - gains.K_m * (qm - setpoint.qm_star),
-                           terms.g_phi])
+                           ev.g_phi])
 
 
 def _closed_loop_top_eigenvalue(model, name, gains, setpoint):
@@ -179,11 +162,8 @@ def _closed_loop_top_eigenvalue(model, name, gains, setpoint):
                          setpoint.qr_des, np.zeros(N)])
 
     def rhs(x):
-        ev = dynamics.Eval(model, x[:N], x[N:],
-                           need_transform=ctrl.needs_transform)
-        u = ctrl.u_vector(ev)
-        X = ev.act_solve()
-        return np.concatenate([x[N:], X[:, :-1] @ u - X[:, -1]])
+        qdd = sim._stage(model, x[:N], x[N:], ctrl, None)[2]
+        return np.concatenate([x[N:], qdd])
 
     h = 1e-6
     J = np.zeros((2 * N, 2 * N))
@@ -234,17 +214,15 @@ def _rest_residual_proposed(model, setpoint, gains, x):
     mover acceleration is zero and the CoM equation reduces to gbar_c = 0."""
     phi, qm = x[0:2], x[2:4]
     q = np.concatenate([phi, [0.0], qm, setpoint.qr_des])
-    ev = dynamics.evaluate(model, q, np.zeros(model.dof))
-    tt = ev.transformed
-    ref = tt.Mbar_cm.T @ (gains.K_c * tt.xc) - gains.K_m * (qm - setpoint.qm_star)
-    return np.concatenate([ref, tt.gbar_c])
+    ev = Eval(model, q, np.zeros(model.dof))
+    ref = ev.Mbar_cm.T @ (gains.K_c * ev.com) - gains.K_m * (qm - setpoint.qm_star)
+    return np.concatenate([ref, ev.gbar_c])
 
 
 def test_proposed_trivial_zero(desk, setpoint, gains):
     q = np.concatenate([[0.0, 0.0, 0.0], setpoint.qm_star, setpoint.qr_des])
-    st = State(0.0, q, np.zeros(desk.dof))
-    tt = dynamics.transform(desk, st.q, st.qd)
-    assert np.abs(qm_ref_proposed(st, tt, setpoint, gains)).max() < 1e-9
+    ev = Eval(desk, q, np.zeros(desk.dof))
+    assert np.abs(qm_ref_proposed(ev, gains, setpoint)).max() < 1e-9
 
 
 def test_proposed_equilibrium_unique(desk, setpoint, gains):
@@ -268,16 +246,13 @@ def test_proposed_equilibrium_unique(desk, setpoint, gains):
 def test_pfl_exactness_and_agreement(desk):
     rng = np.random.default_rng(34)
     for _ in range(30):
-        st = random_state(rng, desk)
-        ev = dynamics.evaluate(desk, st.q, st.qd)
+        ev = random_eval(rng, desk)
         ydd = rng.uniform(-2.0, 2.0, desk.dof - 2)
-        u_s = pfl_input_standard(st, ev.terms, ydd)
-        u_t = pfl_input_transformed(st, ev.transformed, ydd)
-        assert np.abs(u_s.as_vector() - u_t.as_vector()).max() < 1e-6
+        u_s = pfl_input(ev, ydd)
+        u_t = pfl_input_transformed(ev, ydd)
+        assert np.abs(u_s - u_t).max() < 1e-6
         for u in (u_s, u_t):
-            tau = u.as_tau()
-            assert np.abs(tau[:2]).max() == 0.0
-            qdd = dynamics.forward_dynamics(desk, st.q, st.qd, tau)
+            qdd = dynamics.forward_dynamics(desk, ev.q, ev.qd, np.r_[0.0, 0.0, u])
             assert np.abs(qdd[2:] - ydd).max() < 1e-7
 
 
@@ -285,10 +260,9 @@ def test_pfl_static_gravity_balance(desk, setpoint):
     """Zero reference acceleration at the equilibrium puts the whole system
     at rest: u balances gravity of the actuated coordinates."""
     q = np.concatenate([[0.0, 0.0, 0.0], setpoint.qm_star, setpoint.qr_des])
-    st = State(0.0, q, np.zeros(desk.dof))
-    ev = dynamics.evaluate(desk, st.q, st.qd)
-    u = pfl_input_standard(st, ev.terms, np.zeros(desk.dof - 2))
-    qdd = dynamics.forward_dynamics(desk, st.q, st.qd, u.as_tau())
+    ev = Eval(desk, q, np.zeros(desk.dof))
+    u = pfl_input(ev, np.zeros(desk.dof - 2))
+    qdd = dynamics.forward_dynamics(desk, ev.q, ev.qd, np.r_[0.0, 0.0, u])
     assert np.abs(qdd).max() < 1e-9
 
 
@@ -331,8 +305,8 @@ def test_equilibrium_solver_unreachable(desk):
 
 
 def test_controller_matches_public_laws(desk, setpoint, gains):
-    """The simulation controller's inlined computations must reproduce the
-    public law functions composed with the standard PFL input."""
+    """The simulation controller must reproduce the public law functions
+    composed with the PFL input."""
     rng = np.random.default_rng(35)
     g5 = Gains(K_phi=np.full(2, 4300.0), D_phi=np.full(2, 100.0),
                K_m=np.full(2, 3.0), D_m=np.full(2, 0.05))
@@ -340,19 +314,18 @@ def test_controller_matches_public_laws(desk, setpoint, gains):
                        ("remark2", g5), ("proposed", gains)):
         ctrl = make_controller(name, gset, setpoint)
         for _ in range(10):
-            st = random_state(rng, desk)
-            ev = dynamics.evaluate(desk, st.q, st.qd)
-            gdd, qrdd = outer_refs(st, setpoint, gset)
+            ev = random_eval(rng, desk)
+            gdd, qrdd = outer_refs(ev, gset, setpoint)
             if name == "motivating":
-                qmdd = qm_ref_motivating(st, ev.terms, gset)
+                qmdd = qm_ref_motivating(ev, gset)
             elif name == "remark1":
-                qmdd = qm_ref_remark1(st, ev.transformed, gset)
+                qmdd = qm_ref_remark1(ev, gset)
             elif name == "remark2":
-                qmdd = qm_ref_remark2(st, ev.terms, setpoint, gset)
+                qmdd = qm_ref_remark2(ev, gset, setpoint)
             else:
-                qmdd = qm_ref_proposed(st, ev.transformed, setpoint, gset)
+                qmdd = qm_ref_proposed(ev, gset, setpoint)
             ydd = np.concatenate([[gdd], qmdd, qrdd])
-            u_ref = pfl_input_standard(st, ev.terms, ydd).as_vector()
+            u_ref = pfl_input(ev, ydd)
             u_ctrl = ctrl.u_vector(ev)
             assert np.abs(u_ref - u_ctrl).max() < 1e-9 * (1.0 + np.abs(u_ref).max())
 
@@ -360,7 +333,7 @@ def test_controller_matches_public_laws(desk, setpoint, gains):
 def test_controller_factory(desk, setpoint, gains):
     for name in ("motivating", "remark1", "remark2", "proposed", "free"):
         ctrl = make_controller(name, gains, setpoint)
-        ev = dynamics.evaluate(desk, np.zeros(desk.dof), np.zeros(desk.dof))
+        ev = Eval(desk, np.zeros(desk.dof), np.zeros(desk.dof))
         u = ctrl.u_vector(ev)
         assert u.shape == (desk.dof - 2,)
         assert np.all(np.isfinite(u))
@@ -379,28 +352,28 @@ def test_proposed_gain_ordering_warning(desk, setpoint, caplog):
 
 
 def test_collocated_pfl_shared_and_guarded(desk, setpoint, gains):
-    """pfl_input_standard and the controller share one collocated PFL, which
-    keeps its (u, qdd) on the evaluation, and a roll/pitch inertia block
-    with a non-positive or non-finite determinant raises SingularMassError."""
+    """pfl_input and the controller share one collocated PFL, which keeps
+    its (u, qdd) on the evaluation, and a roll/pitch inertia block with a
+    non-positive or non-finite determinant raises SingularMassError."""
     rng = np.random.default_rng(36)
-    st = random_state(rng, desk)
-    ev = dynamics.evaluate(desk, st.q, st.qd)
+    ev = random_eval(rng, desk)
+    q, qd = ev.q, ev.qd
     ydd = rng.uniform(-2.0, 2.0, desk.dof - 2)
-    u = pfl_input_standard(st, ev.terms, ydd).as_vector()
+    u = pfl_input(ev, ydd)
     u_pfl, qdd = ev.pfl_solution
-    assert np.array_equal(u, u_pfl)
+    assert u is u_pfl
     assert np.array_equal(qdd[2:], ydd)
     ref = ev.forward(np.r_[0.0, 0.0, u])
     assert np.abs(qdd - ref).max() < 1e-9 * (1.0 + np.abs(ref).max())
 
     ctrl = make_controller("proposed", gains, setpoint)
-    ev = dynamics.evaluate(desk, st.q, st.qd)
+    ev = Eval(desk, q, qd)
     u = ctrl.u_vector(ev)
     assert ev.pfl_solution[0] is u
 
     for bad in (0.0, -1.0, np.nan, np.inf):
-        ev = dynamics.evaluate(desk, st.q, st.qd)
+        ev = Eval(desk, q, qd)
         ev.M[0, 0] = bad
         ev.M[1, 1] = abs(bad)
         with pytest.raises(dynamics.SingularMassError):
-            pfl_input_standard(st, ev.terms, ydd)
+            pfl_input(ev, ydd)

@@ -500,6 +500,8 @@ def test_report_health_block(desk, setpoint, tmp_path):
         # decimation 1 logs the first stage of every step
         evs = [dynamics.Eval(desk, q, qd) for q, qd in zip(traj.q, traj.qd)]
         if law == "proposed":
+            for ev in evs:
+                ev.Mbar_cm          # the cond(T) guard sets cond on first read
             assert health["worst_cond_T"] == max(ev.cond for ev in evs)
             assert health["worst_cond_M_phim"] is None
         else:
