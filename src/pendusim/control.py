@@ -20,7 +20,11 @@ roll/pitch (or CoM) dynamics, and four designs of it are provided:
 
 Every law takes a ``dynamics.Eval`` as its state and terms, as
 ``law(ev, gains[, setpoint])``; ``pfl_input(ev, ydd_ref)`` turns the
-references into the actuated force vector u = (tau_yaw, tau_m, tau_r).
+references into the actuated force vector u = (tau_yaw, tau_m, tau_r).  The
+motivating and remark-2 laws invert the coupling block M_phim, the remark-1
+and proposed laws read Mbar_cm through the inverse of the attitude block
+Jcom[:, 0:2]; both blocks pass the one guard, ``Eval.guard2``, which records
+their condition numbers on the evaluation.
 """
 
 import logging
@@ -35,8 +39,6 @@ from .model import check_finite
 logger = logging.getLogger(__name__)
 
 CONTROLLER_NAMES = ("motivating", "remark1", "remark2", "proposed", "free")
-
-M_PHIM_COND_LIMIT = 1e8
 
 
 class SingularCouplingError(RuntimeError):
@@ -165,14 +167,10 @@ def outer_refs(ev, gains, setpoint):
 
 
 def _solve_phim(ev, rhs):
-    """M_phim^-1 rhs in closed form, behind the coupling conditioning guard
-    (cond(M_phim) is read from the evaluation, which keeps it)."""
-    cond = ev.cond_phim
-    if not cond <= M_PHIM_COND_LIMIT:
-        raise SingularCouplingError(
-            f"roll/pitch-to-mover coupling condition {cond:.3e} "
-            f"exceeds {M_PHIM_COND_LIMIT:.0e}")
-    return np.array(dynamics.solve2(ev.M_phim.tolist(), rhs.tolist()))
+    """M_phim^-1 rhs in closed form, behind the conditioning guard."""
+    M_phim = ev.M_phim.tolist()
+    ev.guard2("M_phim", M_phim, SingularCouplingError)
+    return np.array(dynamics.solve2(M_phim, rhs.tolist()))
 
 
 def qm_ref_motivating(ev, gains):
@@ -312,7 +310,6 @@ class Controller:
         self.name = name
         self.gains = gains
         self.setpoint = setpoint
-        self.reads_coupling = name in ("motivating", "remark2")
         if name == "proposed" and gains is not None and not gains.ratio_ok:
             logger.warning("proposed law used without the D_c, K_c >> D_m, K_m "
                            "gain ordering; convergence is not guaranteed")

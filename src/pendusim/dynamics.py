@@ -15,24 +15,28 @@ Jacobians,
 which holds for any factorization of C, and the Christoffel block C_phim
 exactly (see Eval).  The full Christoffel C, built from dM/dq by one complex
 row per coordinate, keeps the passivity identity qd' (dM/dt - 2C) qd = 0
-testable; it and the transformed C, g are built only when read.  The
-transform T replaces roll/pitch rates with the world CoM x, y rates:
+testable.  The transform T replaces roll/pitch rates with the world CoM x, y
+rates:
 
     qbar_dot = T qd,   qbar = (x_c, gamma, q_m, q_r)
 
 so gravity vanishes for the transformed internal coordinates exactly at the
 hanging target.  T = [[A, D], [0, I]] is block-triangular with the 2x2
-attitude block A = Jcom[:, 0:2], so the blocks of Mbar = T^-T M T^-1 the
-laws read have closed forms,
+attitude block A = Jcom[:, 0:2], so the CoM blocks of Mbar = T^-T M T^-1
+have closed forms on 2x2 floats (the remark-1 and proposed laws read
+Mbar_cm),
 
     Mbar_cc = A^-T M_phiphi A^-1,
-    Mbar_cm = A^-T (M_phim - M_phiphi A^-1 Jcom[:, 3:5]),
+    Mbar_cm = A^-T (M_phim - M_phiphi A^-1 Jcom[:, 3:5]).
 
-evaluated on 2x2 floats behind the cond(T) guard when a law first reads
-them; T, its rate, T^-1 and the full Mbar are built only when read.  A
-controlled stage therefore makes no linear-algebra call.  The one mass-matrix
-solve, ``Eval.act_solve``, serves forward dynamics: the free law and any
-applied force outside the collocated PFL.
+Every term beyond the stage row is a cached property of ``Eval``, built only
+when read, so a controlled stage makes no linear-algebra call and builds
+only what its law reads.  The one conditioning guard, ``Eval.guard2``,
+checks the exact condition number of each 2x2 block a law inverts (A here,
+M_phim in the coupling laws) against ``COND_LIMIT`` and records it in
+``Eval.conds``.  The one mass-matrix solve, ``Eval.act_solve``, serves
+forward dynamics: the free law and any applied force outside the collocated
+PFL.
 """
 
 import functools
@@ -43,7 +47,7 @@ import numpy as np
 from . import engine
 
 CS_STEP = 1e-20         # complex step of the stage row and of dM/dq
-COND_LIMIT = 1e8        # transform conditioning guard
+COND_LIMIT = 1e8        # 2x2 conditioning guard (Eval.guard2)
 
 
 class SingularMassError(RuntimeError):
@@ -118,25 +122,19 @@ class Eval:
 
         C_phim = sum over movers b of m_b Jv_b[:, 0:2]' Jv_b_dot[:, 3:5].
 
-    Everything else is built on first read: the closed-form transformed
-    blocks Mbar_cc and Mbar_cm behind the cond(T) guard (``cond`` is None
-    until then), dM/dq (yaw slice analytic zero: the kinetic energy is
-    invariant under yaw), the full Christoffel C, the transform T, its rate
-    Tdot, T^-1, the full Mbar, the transformed Cbar, gbar, and cond(M_phim),
-    which the coupling guard of the laws reads.  The laws take an Eval as
-    both the state and its dynamics terms.  ``pfl_solution`` holds the
-    (u, qdd) pair of the last collocated PFL at this state (see
-    control.pfl_input), which the simulation stage integrates without a
-    mass-matrix solve.
+    Every other term is a cached property, built on first read and only
+    then: the guarded A^-1, the closed-form blocks Mbar_cm and Mbar_cc, dM/dq
+    (yaw slice analytic zero: the kinetic energy is invariant under yaw), the
+    full Christoffel C, T, Tdot, T^-1, the full Mbar, Cbar and gbar.  Every
+    2x2 block a law inverts passes ``guard2``, which records its condition
+    number in ``conds``.  The laws take an Eval as both the state and its
+    dynamics terms.  ``pfl_solution`` holds the (u, qdd) pair of the last
+    collocated PFL at this state (see control.pfl_input), which the
+    simulation stage integrates without a mass-matrix solve.
     """
 
     #: Configurations one evaluation assembles.
     CONFIGURATIONS = 1
-
-    __slots__ = ("model", "q", "qd", "M", "g", "bias", "V", "com", "Jcom",
-                 "C_phim", "cond", "pfl_solution", "_Mbar_cc", "_Mbar_cm",
-                 "_Jcom_c", "_T", "_Tdot", "_Tinv", "_Mbar", "_cond_phim",
-                 "_dM", "_C", "_Cbar", "_gbar")
 
     def __init__(self, model, q, qd):
         q = np.asarray(q, dtype=float)
@@ -155,19 +153,8 @@ class Eval:
         self.com = a.com[0].real
         self._Jcom_c = a.Jcom[0]
         self.Jcom = self._Jcom_c.real
-        self.cond = None
+        self.conds = {}
         self.pfl_solution = None
-        self._Mbar_cc = None
-        self._Mbar_cm = None
-        self._T = None
-        self._Tdot = None
-        self._Tinv = None
-        self._Mbar = None
-        self._cond_phim = None
-        self._dM = None
-        self._C = None
-        self._Cbar = None
-        self._gbar = None
 
         # Newton-Euler bias: the imaginary parts of the body momenta m Jv qd
         # and Iw Jw qd are h times their rates at qdd = 0, m Jv_dot qd and
@@ -181,127 +168,95 @@ class Eval:
         Jm = a.Jv[0, 1:3].reshape(6, N)
         self.C_phim = (Jm[:, 0:2].real.T @ Jm[:, 3:5].imag) * (model.movers.mass / h)
 
-    def _transform_blocks(self):
-        """Set cond and the closed-form Mbar_cc, Mbar_cm, or raise
-        IllConditionedTransformError.  T is block-triangular [[A, D], [0, I]];
-        its conditioning is governed by the 2x2 attitude block A, estimated
-        cheaply here."""
-        J0, J1 = self.Jcom.tolist()
-        A = (J0[0:2], J1[0:2])
-        _, smin_sq = singular_values_sq2(A)
-        smin = math.sqrt(max(smin_sq, 0.0))
-        scale = max(1.0, *map(abs, J0), *map(abs, J1))
-        self.cond = math.inf if smin == 0.0 else scale / smin
-        if not self.cond <= COND_LIMIT:
-            raise IllConditionedTransformError(
-                f"transform condition estimate {self.cond:.3e} exceeds {COND_LIMIT:.0e}")
-        M0, M1 = self.M[0:2].tolist()
-        Ai = inv2(A)
-        AiT = tuple(zip(*Ai))
-        W = mul2((M0[0:2], M1[0:2]), Ai)             # M_phiphi A^-1
-        X = mul2(W, (J0[3:5], J1[3:5]))
-        self._Mbar_cc = np.array(mul2(AiT, W))
-        self._Mbar_cm = np.array(mul2(AiT, ((M0[3] - X[0][0], M0[4] - X[0][1]),
-                                            (M1[3] - X[1][0], M1[4] - X[1][1]))))
+    def guard2(self, name, A, error):
+        """Record the exact 2-norm condition number of the 2x2 block A (nested
+        floats) as conds[name]; raise error unless it is at most COND_LIMIT
+        (NaN fails)."""
+        smax_sq, smin_sq = singular_values_sq2(A)
+        cond = math.inf if smin_sq <= 0.0 else math.sqrt(smax_sq) / math.sqrt(smin_sq)
+        self.conds[name] = cond
+        if not cond <= COND_LIMIT:
+            raise error(f"{error.__doc__.rstrip('.')}: cond({name}) = {cond:.3e} "
+                        f"exceeds {COND_LIMIT:.0e}")
 
-    @property
-    def Mbar_cc(self):
-        """CoM-CoM block of Mbar, closed form: A^-T M_phiphi A^-1."""
-        if self._Mbar_cc is None:
-            self._transform_blocks()
-        return self._Mbar_cc
+    @functools.cached_property
+    def Ainv(self):
+        """Inverse of the attitude block A = Jcom[:, 0:2] of T, as nested
+        floats, behind the conditioning guard."""
+        A = self.Jcom[:, 0:2].tolist()
+        self.guard2("Jcom_phi", A, IllConditionedTransformError)
+        return inv2(A)
 
-    @property
+    @functools.cached_property
     def Mbar_cm(self):
         """CoM-mover block of Mbar, closed form."""
-        if self._Mbar_cm is None:
-            self._transform_blocks()
-        return self._Mbar_cm
+        (M0, M1), (J0, J1) = self.M[0:2].tolist(), self.Jcom.tolist()
+        Ai = self.Ainv
+        W = mul2((M0[0:2], M1[0:2]), Ai)             # M_phiphi A^-1
+        X = mul2(W, (J0[3:5], J1[3:5]))
+        return np.array(mul2(tuple(zip(*Ai)), ((M0[3] - X[0][0], M0[4] - X[0][1]),
+                                               (M1[3] - X[1][0], M1[4] - X[1][1]))))
 
-    @property
+    @functools.cached_property
+    def Mbar_cc(self):
+        """CoM-CoM block of Mbar, closed form: A^-T M_phiphi A^-1."""
+        Ai = self.Ainv
+        return np.array(mul2(tuple(zip(*Ai)), mul2(self.M[0:2, 0:2].tolist(), Ai)))
+
+    @functools.cached_property
     def T(self):
         """CoM transform [[Jcom], [0, I]]."""
-        if self._T is None:
-            T = np.eye(self.model.dof)
-            T[0:2] = self.Jcom
-            self._T = T
-        return self._T
+        T = np.eye(self.model.dof)
+        T[0:2] = self.Jcom
+        return T
 
-    @property
+    @functools.cached_property
     def Tdot(self):
         """Rate of T along qd: the exact Jcom rate from the complex row."""
-        if self._Tdot is None:
-            N = self.model.dof
-            Tdot = np.zeros((N, N))
-            Tdot[0:2] = self._Jcom_c.imag / CS_STEP
-            self._Tdot = Tdot
-        return self._Tdot
+        Tdot = np.zeros((self.model.dof, self.model.dof))
+        Tdot[0:2] = self._Jcom_c.imag / CS_STEP
+        return Tdot
 
-    @property
+    @functools.cached_property
     def Tinv(self):
-        """T^-1 behind the cond(T) guard, for the full transformed terms only
-        (verify, tests)."""
-        if self._Tinv is None:
-            if self._Mbar_cc is None:
-                self._transform_blocks()
-            self._Tinv = np.linalg.inv(self.T)
-        return self._Tinv
+        """T^-1, for the full transformed terms only (verify, tests)."""
+        return np.linalg.inv(self.T)
 
-    @property
+    @functools.cached_property
     def Mbar(self):
         """Full transformed mass matrix T^-T M T^-1."""
-        if self._Mbar is None:
-            Tinv = self.Tinv
-            self._Mbar = Tinv.T @ self.M @ Tinv
-        return self._Mbar
+        return self.Tinv.T @ self.M @ self.Tinv
 
-    @property
-    def cond_phim(self):
-        """2-norm condition number of M_phim, closed form."""
-        if self._cond_phim is None:
-            smax_sq, smin_sq = singular_values_sq2(self.M[0:2, 3:5].tolist())
-            self._cond_phim = (math.inf if smin_sq <= 0.0
-                               else math.sqrt(smax_sq) / math.sqrt(smin_sq))
-        return self._cond_phim
-
-    @property
+    @functools.cached_property
     def dM(self):
         """dM/dq as an (N, N, N) tensor indexed [i, j, k] = dM_jk/dq_i, from
         one complex configuration per coordinate but yaw."""
-        if self._dM is None:
-            N = self.model.dof
-            Qb = _complex_rows(self.q, _dM_steps(N))
-            dMp = engine.assemble(self.model, Qb).M.imag / CS_STEP
-            dM = np.zeros((N, N, N))
-            dM[0:2] = dMp[0:2]
-            dM[3:] = dMp[2:]
-            self._dM = dM
-        return self._dM
+        N = self.model.dof
+        Qb = _complex_rows(self.q, _dM_steps(N))
+        dMp = engine.assemble(self.model, Qb).M.imag / CS_STEP
+        dM = np.zeros((N, N, N))
+        dM[0:2] = dMp[0:2]
+        dM[3:] = dMp[2:]
+        return dM
 
-    @property
+    @functools.cached_property
     def C(self):
         """Christoffel Coriolis matrix; dM[i] is symmetric, so the second and
         third terms are transposes of one contraction."""
-        if self._C is None:
-            N = self.model.dof
-            dM, qd = self.dM, self.qd
-            Mdot = np.dot(qd.reshape(1, N), dM.reshape(N, N * N)).reshape(N, N)
-            S = np.dot(dM.reshape(N * N, N), qd.reshape(N, 1)).reshape(N, N)
-            self._C = 0.5 * (Mdot + S.T - S)
-        return self._C
+        N = self.model.dof
+        dM, qd = self.dM, self.qd
+        Mdot = np.dot(qd.reshape(1, N), dM.reshape(N, N * N)).reshape(N, N)
+        S = np.dot(dM.reshape(N * N, N), qd.reshape(N, 1)).reshape(N, N)
+        return 0.5 * (Mdot + S.T - S)
 
-    @property
+    @functools.cached_property
     def Cbar(self):
-        if self._Cbar is None:
-            Tinv = self.Tinv
-            self._Cbar = Tinv.T @ (self.C - self.M @ Tinv @ self.Tdot) @ Tinv
-        return self._Cbar
+        Tinv = self.Tinv
+        return Tinv.T @ (self.C - self.M @ Tinv @ self.Tdot) @ Tinv
 
-    @property
+    @functools.cached_property
     def gbar(self):
-        if self._gbar is None:
-            self._gbar = self.Tinv.T @ self.g
-        return self._gbar
+        return self.Tinv.T @ self.g
 
     @property
     def M_phim(self):
@@ -310,14 +265,6 @@ class Eval:
     @property
     def g_phi(self):
         return self.g[0:2]
-
-    @property
-    def Cbar_cc(self):
-        return self.Cbar[0:2, 0:2]
-
-    @property
-    def Cbar_cm(self):
-        return self.Cbar[0:2, 3:5]
 
     @property
     def gbar_c(self):
@@ -364,11 +311,6 @@ def potential_energy(model, q):
 def kinetic_energy(model, q, qd):
     qd = np.asarray(qd, dtype=float)
     return 0.5 * float(qd @ mass_matrix(model, q) @ qd)
-
-
-def mass_matrix_derivatives(model, q):
-    """dM/dq as an (N, N, N) tensor indexed [i, j, k] = dM_jk/dq_i."""
-    return Eval(model, q, np.zeros(model.dof)).dM
 
 
 def coriolis_matrix(model, q, qd):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .spatial import check_pitch, euler_rate_map, skew
+from .spatial import check_pitch, skew
 
 
 class UnsupportedPresetError(ValueError):
@@ -309,22 +309,17 @@ def body_position(model, q, body):
 
 def point_jacobian(model, q, body, local_point=(0.0, 0.0, 0.0)):
     """3xN Jacobian of the world position of ``local_point`` (expressed in the
-    body frame) with respect to q, so point velocity = J @ qd."""
+    body frame) with respect to q, so point velocity = J @ qd.  It shifts the
+    engine's rows of the rigid body's CoM b to the point,
+    J = Jv_b - skew(p - p_b) Jw_b, with the platform's Jw for a mover."""
     kind, idx = _parse_body(model, body)
+    check_pitch(q[1])
     a = engine.assemble1(model, q)
     Rb, pb = _frame_of(a, kind, idx)
     p = pb + Rb @ np.asarray(local_point, dtype=float)
-
-    J = np.zeros((3, model.dof))
-    E = euler_rate_map(q[0], q[1], q[2])
-    # The whole assembly rotates rigidly about the pivot: v = (E qd_p) x p.
-    J[:, 0:3] = -skew(p) @ E
-    if kind == "mover":
-        J[:, 3 + idx] = a.R[0, :, idx]
-    if kind in ("link", "link_com"):
-        for j in range(idx + 1):
-            J[:, 5 + j] = np.cross(a.axes_world[0, j], p - a.link_origin[0, j])
-    return J
+    b = {"platform": 0, "mover": 1 + idx}.get(kind, 3 + idx)
+    Jw = a.Jw[0, 0 if kind == "mover" else b]
+    return a.Jv[0, b] - skew(p - a.p_bodies[0, b]) @ Jw
 
 
 def com_xy(model, q):

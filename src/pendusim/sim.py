@@ -12,7 +12,7 @@ never silently mapped to another class.
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -141,8 +141,7 @@ class Trajectory:
     escape_reason: str = ""
     travel_limit_exceeded: bool = False
     travel_limit_time: float = None
-    worst_cond_T: float = None
-    worst_cond_M_phim: float = None
+    worst_conds: dict = field(default_factory=dict)
     steps: int = 0
     stage_evaluations: int = 0
 
@@ -174,25 +173,7 @@ class OutcomeReport:
     health: dict
 
     def to_dict(self):
-        return {
-            "signals": {
-                name: {
-                    "classification": s.classification,
-                    "settling_time": s.settling_time,
-                    "trailing_amplitude": s.trailing_amplitude,
-                    "max_abs": s.max_abs,
-                    "band": s.band,
-                }
-                for name, s in self.signals.items()
-            },
-            "escaped": self.escaped,
-            "escape_reason": self.escape_reason,
-            "decay_rate": self.decay_rate,
-            "travel_limit_exceeded": self.travel_limit_exceeded,
-            "energy_audit": self.energy_audit,
-            "run": self.run,
-            "health": self.health,
-        }
+        return asdict(self)
 
 
 def _check_state(q, qd, t):
@@ -286,18 +267,16 @@ def run(scenario):
     reason = ""
     travel_time = None
     lim = model.movers.travel_limit
-    # Worst conditioning seen at the first stage of each step, for the laws
-    # whose guards compute it; NaN never compares greater, so never enters.
-    cond_T = cond_phim = -np.inf
+    # Worst condition number each guard recorded at the first stage of a
+    # step (a guard that fails raises, so every value here passed it).
+    worst = {}
 
     k = 0
     try:
         while True:
             ev1, u1, a1, p1 = _stage(model, q, qd, controller, tau_ext)
-            if ev1.cond is not None and ev1.cond > cond_T:
-                cond_T = ev1.cond
-            if controller.reads_coupling and ev1.cond_phim > cond_phim:
-                cond_phim = ev1.cond_phim
+            for name, cond in ev1.conds.items():
+                worst[name] = max(cond, worst.get(name, cond))
             if k % decim == 0:
                 t_log[rec] = k * dt
                 q_log[rec] = q
@@ -333,8 +312,7 @@ def run(scenario):
         work=w_log[:rec].copy(), escaped=escaped, escape_reason=reason,
         travel_limit_exceeded=travel_time is not None,
         travel_limit_time=travel_time,
-        worst_cond_T=cond_T if cond_T > -np.inf else None,
-        worst_cond_M_phim=cond_phim if cond_phim > -np.inf else None,
+        worst_conds=worst,
         # Each completed step evaluated four stages; a run that reaches its
         # end evaluates one more at the final state, which it logs.
         steps=k, stage_evaluations=4 * k + (0 if escaped else 1),
@@ -492,7 +470,9 @@ def _health(traj):
     """Numerical health from what the run logged or its guards computed:
     peak |u| per channel and peak |q_m| over the samples (None when nothing
     was logged), the first sample time past the mover travel limit, and the
-    worst cond(T) and cond(M_phim) estimates (None for laws without them)."""
+    worst exact condition numbers of the 2x2 blocks the law inverts, the
+    attitude block Jcom[:, 0:2] and M_phim (None for a block it never
+    inverts)."""
     logged = traj.t.size > 0
     channels = u_channels(traj.n_links)
     peak_u = np.abs(traj.u).max(axis=0).tolist() if logged else [None] * len(channels)
@@ -500,8 +480,8 @@ def _health(traj):
         "peak_abs_u": dict(zip(channels, peak_u)),
         "peak_abs_qm": float(np.abs(traj.q[:, 3:5]).max()) if logged else None,
         "travel_limit_first_crossed_t": traj.travel_limit_time,
-        "worst_cond_T": traj.worst_cond_T,
-        "worst_cond_M_phim": traj.worst_cond_M_phim,
+        "worst_cond_Jcom_phi": traj.worst_conds.get("Jcom_phi"),
+        "worst_cond_M_phim": traj.worst_conds.get("M_phim"),
     }
 
 

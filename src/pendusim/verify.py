@@ -101,8 +101,8 @@ def check_stage_terms(model, rng, n_states=50):
 
 
 def check_transform_blocks(model, rng, n_states=50):
-    """The closed-form Mbar_cc and Mbar_cm an RK4 stage reads against the
-    blocks of the full T^-T M T^-1."""
+    """The closed-form Mbar_cc and Mbar_cm against the blocks of the full
+    T^-T M T^-1."""
     worst_cc, worst_cm = 0.0, 0.0
     for _ in range(n_states):
         q, qd = random_state(rng, model)

@@ -107,7 +107,7 @@ def test_motivating_law_internal_dynamics_residual(desk, gains):
 
 def test_motivating_singular_coupling_guard(desk, gains, monkeypatch):
     ev = Eval(desk, np.zeros(desk.dof), np.zeros(desk.dof))
-    monkeypatch.setattr(control, "M_PHIM_COND_LIMIT", 0.5)
+    monkeypatch.setattr(dynamics, "COND_LIMIT", 0.5)
     with pytest.raises(SingularCouplingError):
         qm_ref_motivating(ev, gains)
 

@@ -4,7 +4,7 @@ import logging
 
 import numpy as np
 import pytest
-from pendusim import cli, control
+from pendusim import cli, control, dynamics
 from pendusim.control import Gains, Setpoint, solve_equilibrium_qm
 from pendusim.model import State, SystemModel, preset_paper
 from pendusim.sim import (CONVERGED, DIVERGED, INCONCLUSIVE, LIMIT_CYCLE,
@@ -333,7 +333,7 @@ def _strict_json(text):
 def test_coupling_breakdown_ends_in_report(desk, setpoint, monkeypatch):
     """A controller breakdown at the very first stage halts the run into a
     diverged report instead of raising."""
-    monkeypatch.setattr(control, "M_PHIM_COND_LIMIT", 0.5)
+    monkeypatch.setattr(dynamics, "COND_LIMIT", 0.5)
     sc = Scenario(model=desk, controller="motivating", gains=Gains(),
                   setpoint=setpoint, dt=1e-2, duration=1.0, decimation=1)
     traj, rep = run(sc)
@@ -484,8 +484,6 @@ def _first_crossing(model, traj):
 def test_report_health_block(desk, setpoint, tmp_path):
     """report.json's health block holds the logged peaks, the first time past
     the travel limit and the worst conditioning the run's guards saw."""
-    from pendusim import dynamics
-
     for law in ("proposed", "motivating"):
         sc = Scenario(model=desk, controller=law, gains=Gains(), setpoint=setpoint,
                       q0=np.r_[0.05, -0.03, 0.0, setpoint.qm_star, QR_DES],
@@ -497,16 +495,18 @@ def test_report_health_block(desk, setpoint, tmp_path):
         assert list(health["peak_abs_u"].values()) == np.abs(traj.u).max(axis=0).tolist()
         assert health["peak_abs_qm"] == np.abs(traj.q[:, 3:5]).max()
         assert health["travel_limit_first_crossed_t"] == _first_crossing(desk, traj)
-        # decimation 1 logs the first stage of every step
+        # decimation 1 logs the first stage of every step; the law's guards
+        # record their condition numbers on each evaluation it reads
         evs = [dynamics.Eval(desk, q, qd) for q, qd in zip(traj.q, traj.qd)]
+        ctrl = control.make_controller(law, Gains(), setpoint)
+        for ev in evs:
+            ctrl.u_vector(ev)
         if law == "proposed":
-            for ev in evs:
-                ev.Mbar_cm          # the cond(T) guard sets cond on first read
-            assert health["worst_cond_T"] == max(ev.cond for ev in evs)
+            assert health["worst_cond_Jcom_phi"] == max(ev.conds["Jcom_phi"] for ev in evs)
             assert health["worst_cond_M_phim"] is None
         else:
-            assert health["worst_cond_T"] is None
-            assert health["worst_cond_M_phim"] == max(ev.cond_phim for ev in evs)
+            assert health["worst_cond_Jcom_phi"] is None
+            assert health["worst_cond_M_phim"] == max(ev.conds["M_phim"] for ev in evs)
 
     qd0 = np.zeros(desk.dof)
     qd0[3] = 0.6
@@ -515,7 +515,7 @@ def test_report_health_block(desk, setpoint, tmp_path):
     traj, rep = run(sc)
     assert rep.health["travel_limit_first_crossed_t"] == _first_crossing(desk, traj)
     assert rep.health["travel_limit_first_crossed_t"] is not None
-    assert rep.health["worst_cond_T"] is None
+    assert rep.health["worst_cond_Jcom_phi"] is None
     assert rep.health["worst_cond_M_phim"] is None
 
     path = tmp_path / "sc.json"
@@ -525,10 +525,27 @@ def test_report_health_block(desk, setpoint, tmp_path):
     assert _strict_json((out / "report.json").read_text())["health"] == rep.health
 
 
+@pytest.mark.parametrize("law, guards", [
+    ("motivating", {"M_phim"}), ("remark1", {"Jcom_phi"}),
+    ("remark2", {"M_phim"}), ("proposed", {"Jcom_phi"}), ("free", set())])
+def test_stage_builds_only_what_the_law_reads(desk, setpoint, law, guards):
+    """One RK4 stage leaves none of the unread cached terms on the
+    evaluation, and its guards record exactly the blocks the law inverts."""
+    from pendusim import sim
+
+    ctrl = control.make_controller(law, Gains(), setpoint)
+    q = np.r_[0.03, -0.02, 0.1, setpoint.qm_star, QR_DES]
+    ev, _, _, _ = sim._stage(desk, q, np.full(desk.dof, 0.1), ctrl, None)
+    unread = {"Mbar_cc", "T", "Tinv", "Mbar", "dM", "C", "Cbar", "gbar"}
+    assert not unread & set(vars(ev))
+    assert set(ev.conds) == guards
+    assert all(1.0 <= cond <= dynamics.COND_LIMIT for cond in ev.conds.values())
+
+
 def test_report_health_block_of_halted_run(desk, setpoint, monkeypatch):
     """A run halted before its first sample reports null peaks and null
     conditioning; one halted later keeps what it logged."""
-    monkeypatch.setattr(control, "M_PHIM_COND_LIMIT", 0.5)
+    monkeypatch.setattr(dynamics, "COND_LIMIT", 0.5)
     sc = Scenario(model=desk, controller="motivating", gains=Gains(),
                   setpoint=setpoint, dt=1e-2, duration=1.0, decimation=1)
     _, rep = run(sc)
