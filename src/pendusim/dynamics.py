@@ -60,12 +60,17 @@ class IllConditionedTransformError(RuntimeError):
 
 def singular_values_sq2(A):
     """Squared singular values (largest, smallest) of a 2x2 block given as
-    nested floats, closed form."""
+    nested floats, closed form.  The discriminant t^2 - 4 det^2 is formed as
+    a product of two sums of squares and the smaller value as det^2 over the
+    larger, so neither cancels when the two are close (a near-orthogonal
+    block such as A or M_phim at the hang)."""
     (a, b), (c, d) = A
     t = a**2 + b**2 + c**2 + d**2
     det = a * d - b * c
-    root = math.sqrt(max(t * t - 4.0 * det * det, 0.0))
-    return 0.5 * (t + root), 0.5 * (t - root)
+    root = math.sqrt(((a - d)**2 + (b + c)**2) * ((a + d)**2 + (b - c)**2))
+    smax_sq = 0.5 * (t + root)
+    smin_sq = det * det / smax_sq if smax_sq > 0.0 else 0.0
+    return smax_sq, min(smin_sq, smax_sq)
 
 
 def inv2(A):

@@ -525,6 +525,28 @@ def test_report_health_block(desk, setpoint, tmp_path):
     assert _strict_json((out / "report.json").read_text())["health"] == rep.health
 
 
+@pytest.mark.parametrize("law", ["motivating", "remark1", "remark2", "proposed", "free"])
+def test_health_conditioning_is_exact(desk, setpoint, law):
+    """The health block's worst condition numbers are the exact 2-norm ones,
+    np.linalg.cond of each block a law inverts over the logged first stages,
+    even from the hang, where both blocks are near orthogonal (cond near 1)."""
+    sc = Scenario(model=desk, controller=law, gains=Gains(), setpoint=setpoint,
+                  dt=1e-2, duration=0.5, decimation=1)
+    traj, rep = run(sc)
+    evs = [dynamics.Eval(desk, q, qd) for q, qd in zip(traj.q, traj.qd)]
+    blocks = {"Jcom_phi": lambda ev: ev.Jcom[:, 0:2], "M_phim": lambda ev: ev.M_phim}
+    inverted = {"motivating": "M_phim", "remark2": "M_phim",
+                "remark1": "Jcom_phi", "proposed": "Jcom_phi"}.get(law)
+    for name, block in blocks.items():
+        worst = rep.health[f"worst_cond_{name}"]
+        if name != inverted:
+            assert worst is None
+            continue
+        ref = max(np.linalg.cond(block(ev)) for ev in evs)
+        assert worst >= 1.0
+        assert abs(worst - ref) <= 1e-12 * ref
+
+
 @pytest.mark.parametrize("law, guards", [
     ("motivating", {"M_phim"}), ("remark1", {"Jcom_phi"}),
     ("remark2", {"M_phim"}), ("proposed", {"Jcom_phi"}), ("free", set())])
