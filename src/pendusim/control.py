@@ -247,16 +247,21 @@ def pfl_input_transformed(ev, ydd_ref):
     return np.linalg.solve(G, rhs + np.asarray(ydd_ref, dtype=float))
 
 
+def _level(qm, qr_des, gamma_des):
+    """Configuration at level attitude, movers at qm and arm at qr_des."""
+    return np.concatenate([[0.0, 0.0, gamma_des], qm, qr_des])
+
+
 def balance_residual(model, qm, qr_des, gamma_des=0.0):
     """g_phi at level attitude, movers at qm and arm at qr_des; its norm is
     the static balance residual |g_phi(phi=0, q_m, q_r_des)|."""
-    q = np.concatenate([[0.0, 0.0, gamma_des], qm, qr_des])
-    return engine.assemble1(model, q).g[0][0:2]
+    return engine.assemble1(model, _level(qm, qr_des, gamma_des)).g[0][0:2]
 
 
 def solve_equilibrium_qm(model, qr_des, gamma_des=0.0, tol=1e-10, max_iter=100):
     """Mover position statically balancing the arm's gravity torque at level
-    attitude, by damped Newton on the 2-vector g_phi(phi=0, q_m, qr_des).
+    attitude, by damped Newton on the 2-vector g_phi(phi=0, q_m, qr_des) with
+    its exact complex-step Jacobian.
 
     Iterates are clamped to the mover travel box; a balance point beyond the
     movers' authority therefore fails with NoConvergenceError.
@@ -269,14 +274,13 @@ def solve_equilibrium_qm(model, qr_des, gamma_des=0.0, tol=1e-10, max_iter=100):
     def residual(qm):
         return balance_residual(model, qm, qr_des, gamma_des)
 
+    steps = np.zeros((2, model.dof))
+    steps[0, 3] = steps[1, 4] = dynamics.CS_STEP
+
     def jac(qm):
-        h = 1e-7
-        cols = []
-        for i in range(2):
-            e = np.zeros(2)
-            e[i] = h
-            cols.append((residual(qm + e) - residual(qm - e)) / (2.0 * h))
-        return np.column_stack(cols)
+        """d g_phi / d q_m, exact: one complex row per mover coordinate."""
+        Q = dynamics._complex_rows(_level(qm, qr_des, gamma_des), steps)
+        return engine.assemble(model, Q).g[:, 0:2].imag.T / dynamics.CS_STEP
 
     qm = np.zeros(2)
     r = residual(qm)
