@@ -229,6 +229,18 @@ def test_transform_condition_guard(desk, monkeypatch):
         ev.Mbar_cm
 
 
+def test_guard2_records_exact_condition_and_rejects(desk):
+    """The one 2x2 guard records the exact condition number, 1 for a scaled
+    rotation, and raises on a singular or non-finite block."""
+    ev = Eval(desk, np.zeros(desk.dof), np.zeros(desk.dof))
+    ev.guard2("rotation", [[0.0, 3.0], [-3.0, 0.0]], IllConditionedTransformError)
+    ev.guard2("diagonal", [[2.0, 0.0], [0.0, 0.5]], IllConditionedTransformError)
+    assert ev.conds == {"rotation": 1.0, "diagonal": 4.0}
+    for bad in ([[1.0, 2.0], [2.0, 4.0]], [[np.nan, 0.0], [0.0, 1.0]]):
+        with pytest.raises(IllConditionedTransformError):
+            ev.guard2("bad", bad, IllConditionedTransformError)
+
+
 def test_energy_definitions(desk):
     assert potential_energy(desk, np.zeros(desk.dof)) == 0.0
     rng = np.random.default_rng(20)
