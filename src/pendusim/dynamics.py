@@ -195,7 +195,8 @@ class Eval:
     @functools.cached_property
     def Mbar_cm(self):
         """CoM-mover block of Mbar, closed form."""
-        (M0, M1), (J0, J1) = self.M[0:2].tolist(), self.Jcom.tolist()
+        M0, M1 = self.M[0:2].tolist()
+        J0, J1 = self.Jcom.tolist()
         Ai = self.Ainv
         W = mul2((M0[0:2], M1[0:2]), Ai)             # M_phiphi A^-1
         X = mul2(W, (J0[3:5], J1[3:5]))
