@@ -8,12 +8,11 @@ from .control import (Gains, NoConvergenceError, Setpoint,
                       qm_ref_proposed, qm_ref_remark1, qm_ref_remark2,
                       solve_equilibrium_qm)
 from .dynamics import (Eval, IllConditionedTransformError, SingularMassError,
-                       coriolis_matrix, forward_dynamics, gravity_vector,
-                       kinetic_energy, mass_matrix, potential_energy)
+                       forward_dynamics)
 from .model import (InvalidBodyError, MoverParams, PlatformParams, SerialLink,
                     State, SystemModel, UnsupportedPresetError, body_position,
-                    com_jacobian, com_xy, model_from_dict, model_to_dict,
-                    point_jacobian, preset_paper)
+                    model_from_dict, model_to_dict, point_jacobian,
+                    preset_paper)
 from .sim import (OutcomeReport, Scenario, ScenarioError, StateEscapeError,
                   Trajectory, classify, load_scenario, run, save_scenario,
                   settling_time, step, write_csv)

@@ -39,6 +39,7 @@ from .model import check_finite
 logger = logging.getLogger(__name__)
 
 CONTROLLER_NAMES = ("motivating", "remark1", "remark2", "proposed", "free")
+BALANCE_TOL = 1e-10     # static balance residual |g_phi| a solved q_m* meets
 
 
 class SingularCouplingError(RuntimeError):
@@ -258,10 +259,11 @@ def balance_residual(model, qm, qr_des, gamma_des=0.0):
     return engine.assemble1(model, _level(qm, qr_des, gamma_des)).g[0][0:2]
 
 
-def solve_equilibrium_qm(model, qr_des, gamma_des=0.0, tol=1e-10, max_iter=100):
+def solve_equilibrium_qm(model, qr_des, gamma_des=0.0):
     """Mover position statically balancing the arm's gravity torque at level
-    attitude, by damped Newton on the 2-vector g_phi(phi=0, q_m, qr_des) with
-    its exact complex-step Jacobian.
+    attitude, by damped Newton (at most 100 steps) on the 2-vector
+    g_phi(phi=0, q_m, qr_des) with its exact complex-step Jacobian, to
+    |g_phi| < BALANCE_TOL.
 
     Iterates are clamped to the mover travel box; a balance point beyond the
     movers' authority therefore fails with NoConvergenceError.
@@ -284,8 +286,8 @@ def solve_equilibrium_qm(model, qr_des, gamma_des=0.0, tol=1e-10, max_iter=100):
 
     qm = np.zeros(2)
     r = residual(qm)
-    for _ in range(max_iter):
-        if np.linalg.norm(r) < tol:
+    for _ in range(100):
+        if np.linalg.norm(r) < BALANCE_TOL:
             return qm
         step = np.linalg.solve(jac(qm), -r)
         lam = 1.0
@@ -298,7 +300,7 @@ def solve_equilibrium_qm(model, qr_des, gamma_des=0.0, tol=1e-10, max_iter=100):
             lam *= 0.5
         else:
             break
-    if np.linalg.norm(r) < tol:
+    if np.linalg.norm(r) < BALANCE_TOL:
         return qm
     raise NoConvergenceError(
         f"static balance not reached: residual {np.linalg.norm(r):.3e} at qm {qm}",

@@ -2,8 +2,10 @@
 
 The rigid-body equation is M(q) qdd + C(q, qd) qd + g(q) = tau with
 tau = (0, 0, u): the actuated forces u drive every coordinate except roll and
-pitch.  Every term below is read from one ``Eval(model, q, qd)``, which
-assembles a single complex configuration q + i h qd (h = 1e-20): its real
+pitch.  Every term at a state is read from one ``Eval(model, q, qd)``: M, g,
+the potential V, ``kinetic_energy()``, the CoM and its Jacobian, C and the
+transformed terms (``engine.assemble`` serves batches).  It assembles a
+single complex configuration q + i h qd (h = 1e-20): its real
 parts are M, g, the CoM data and the body Jacobians, its imaginary parts the
 exact Jacobian rates along qd (complex-step differentiation).  From these
 it reads the bias C qd + g as the Newton-Euler forces projected through the
@@ -297,35 +299,9 @@ class Eval:
         return 0.5 * float(self.qd @ self.M @ self.qd)
 
 
-def mass_matrix(model, q):
-    """Generalized mass matrix M(q), symmetric positive definite."""
-    return engine.assemble1(model, q).M[0]
-
-
-def gravity_vector(model, q):
-    """Generalized gravity g(q) = dV/dq, assembled analytically from the
-    point Jacobians."""
-    return engine.assemble1(model, q).g[0]
-
-
-def potential_energy(model, q):
-    """Gravitational potential, zero at the all-zero configuration."""
-    V = engine.assemble1(model, q).V
-    return float(V[0]) - engine.potential_offset(model)
-
-
-def kinetic_energy(model, q, qd):
-    qd = np.asarray(qd, dtype=float)
-    return 0.5 * float(qd @ mass_matrix(model, q) @ qd)
-
-
-def coriolis_matrix(model, q, qd):
-    """Christoffel-consistent Coriolis matrix C(q, qd)."""
-    return Eval(model, q, qd).C
-
-
 def forward_dynamics(model, q, qd, tau):
-    """qdd = M^{-1}(tau - C qd - g)."""
+    """qdd = M^{-1}(tau - C qd - g), for library callers: rejects a
+    non-finite tau, then reads Eval(model, q, qd).forward(tau)."""
     tau = np.asarray(tau, dtype=float)
     if not np.all(np.isfinite(tau)):
         raise ValueError("tau must be finite")

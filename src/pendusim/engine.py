@@ -1,11 +1,13 @@
 """Batched kinematics and mass-matrix assembly.
 
-Everything the dynamics layer needs per configuration (body frames, point and
-angular Jacobians, world inertias, mass matrix, gravity vector, potential,
-CoM and its Jacobian) is assembled for a whole batch of configurations in one
-vectorized pass.  Every operation is analytic, so a complex configuration
-q + i h v assembles each quantity with its exact directional derivative along
-v in the imaginary part (complex-step differentiation, Squire & Trapp 1998):
+Everything the dynamics layer needs per configuration (body positions and
+joint origins, point and angular Jacobians, world inertias, mass matrix,
+gravity vector, potential, CoM and its Jacobian) is assembled for a whole
+batch of configurations in one vectorized pass.  ``assemble`` (a batch) and
+``dynamics.Eval`` (one state) are the only readers of these terms.  Every
+operation is analytic, so a complex configuration q + i h v assembles each
+quantity with its exact directional derivative along v in the imaginary part
+(complex-step differentiation, Squire & Trapp 1998):
 the dynamics layer reads the Jacobian rates of one RK4 stage from one such
 row, and builds dM/dq from one row per coordinate.  The real parts of a
 complex row are the real assembly of q, to roundoff: numpy's complex and real
@@ -122,11 +124,12 @@ def _layout(n, B):
 
 
 class Assembled:
-    """Raw per-batch products of one assembly call."""
+    """Raw products of one assembly call, one row per configuration:
+    ``p_bodies``, ``Jv``, ``Jw`` and ``Iw`` per body in the module's order,
+    ``link_origin`` per joint."""
 
-    __slots__ = ("R", "E", "p_platform", "p_movers", "link_R", "link_origin",
-                 "link_com", "axes_world", "p_bodies", "Jv", "Jw", "Iw", "M",
-                 "g", "V", "com", "Jcom")
+    __slots__ = ("link_origin", "p_bodies", "Jv", "Jw", "Iw", "M", "g", "V",
+                 "com", "Jcom")
 
 
 def assemble(model, Q):
@@ -230,14 +233,7 @@ def assemble(model, Q):
     Wsum = Wv.sum(axis=1)
     p_all = p_bodies.transpose(1, 0, 2)
     out = Assembled()
-    out.R = R
-    out.E = E
-    out.p_platform = p_plat
-    out.p_movers = p_all[:, 1:3]
-    out.link_R = frames[1:].transpose(1, 0, 2, 3)
     out.link_origin = origins.transpose(1, 0, 2)
-    out.link_com = p_all[:, 3:]
-    out.axes_world = S[lay.gA:lay.gA + n].transpose(1, 0, 2)
     out.p_bodies = p_all
     out.Jv = Jv
     out.Jw = Jw

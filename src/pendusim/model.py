@@ -9,6 +9,11 @@ serial chain is mounted at ``mount_offset``.
 
 Generalized coordinates (N = 5 + n):
     q = (alpha, beta, gamma, qm1, qm2, qr1 .. qrn)
+
+The kinematic and dynamic terms of a configuration are read from
+``engine.assemble`` (a batch) or ``dynamics.Eval`` (one state);
+``body_position`` and ``point_jacobian`` pick single body points out of one
+assembly.
 """
 
 from dataclasses import dataclass
@@ -268,11 +273,12 @@ def preset_paper(n):
 
 
 def _parse_body(model, body):
-    """Map a body id string to (kind, index)."""
+    """Map a body id string to (index b in the engine's p_bodies, whether the
+    reference point is the joint origin of link body b rather than its CoM)."""
     if body == "platform":
-        return "platform", 0
+        return 0, False
     if body in ("mover1", "mover2"):
-        return "mover", int(body[-1]) - 1
+        return int(body[-1]), False
     if body.startswith("link"):
         rest = body[4:]
         com = rest.endswith("_com")
@@ -281,20 +287,14 @@ def _parse_body(model, body):
         if rest.isdigit():
             k = int(rest)
             if 1 <= k <= model.n_links:
-                return ("link_com" if com else "link"), k - 1
+                return 2 + k, not com
     raise InvalidBodyError(f"unknown body {body!r}")
 
 
-def _frame_of(a, kind, idx):
-    """(R_body, p_body) from one-configuration assembly a: the frame a local
-    point of the body is expressed in."""
-    if kind == "platform":
-        return a.R[0], a.p_platform[0]
-    if kind == "mover":
-        return a.R[0], a.p_movers[0, idx]
-    if kind == "link":
-        return a.link_R[0, idx], a.link_origin[0, idx]
-    return a.link_R[0, idx], a.link_com[0, idx]
+def _point(a, b, joint):
+    """World position of a body reference point in one-configuration
+    assembly a."""
+    return a.link_origin[0, b - 3] if joint else a.p_bodies[0, b]
 
 
 def body_position(model, q, body):
@@ -303,33 +303,19 @@ def body_position(model, q, body):
     ``platform`` is the platform center, ``moverI`` the mover point mass,
     ``linkK`` the joint-K origin and ``linkK_com`` the link-K center of mass.
     """
-    kind, idx = _parse_body(model, body)
-    return _frame_of(engine.assemble1(model, q), kind, idx)[1]
+    b, joint = _parse_body(model, body)
+    return _point(engine.assemble1(model, q), b, joint)
 
 
-def point_jacobian(model, q, body, local_point=(0.0, 0.0, 0.0)):
-    """3xN Jacobian of the world position of ``local_point`` (expressed in the
-    body frame) with respect to q, so point velocity = J @ qd.  It shifts the
-    engine's rows of the rigid body's CoM b to the point,
-    J = Jv_b - skew(p - p_b) Jw_b, with the platform's Jw for a mover."""
-    kind, idx = _parse_body(model, body)
+def point_jacobian(model, q, body):
+    """3xN Jacobian of the world position of a body reference point (see
+    body_position) with respect to q, so point velocity = J @ qd.  It shifts
+    the engine's rows of the body's CoM b to the point,
+    J = Jv_b - skew(p - p_b) Jw_b."""
+    b, joint = _parse_body(model, body)
     check_pitch(q[1])
     a = engine.assemble1(model, q)
-    Rb, pb = _frame_of(a, kind, idx)
-    p = pb + Rb @ np.asarray(local_point, dtype=float)
-    b = {"platform": 0, "mover": 1 + idx}.get(kind, 3 + idx)
-    Jw = a.Jw[0, 0 if kind == "mover" else b]
-    return a.Jv[0, b] - skew(p - a.p_bodies[0, b]) @ Jw
-
-
-def com_xy(model, q):
-    """World x, y of the overall center of mass."""
-    return engine.assemble1(model, q).com[0]
-
-
-def com_jacobian(model, q):
-    """2xN Jacobian of the overall CoM x, y: mass-weighted point Jacobians."""
-    return engine.assemble1(model, q).Jcom[0]
+    return a.Jv[0, b] - skew(_point(a, b, joint) - a.p_bodies[0, b]) @ a.Jw[0, b]
 
 
 def model_to_dict(model):

@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import dynamics
-from .control import (CONTROLLER_NAMES, Gains, Setpoint, SingularCouplingError,
-                      balance_residual, make_controller)
+from .control import (BALANCE_TOL, CONTROLLER_NAMES, Gains, Setpoint,
+                      SingularCouplingError, balance_residual, make_controller)
 from .model import State, SystemModel, model_from_dict, model_to_dict, preset_paper
 from .spatial import BETA_GUARD
 
@@ -400,37 +400,37 @@ def trailing_amplitude(traj, signal, window=DEFAULT_WINDOW):
     return float((seg.max(axis=0) - seg.min(axis=0)).max())
 
 
-def fit_decay_rate(t, values, t_start=0.0, floor=1e-12):
+def fit_decay_rate(t, values, t_start=0.0):
     """Exponential decay rate from a log-linear least-squares fit on
-    values(t) for t >= t_start, ignoring samples at or below the floor.
+    values(t) for t >= t_start, ignoring samples at or below 1e-12.
     Positive return value means decay."""
     t = np.asarray(t, dtype=float)
     values = np.asarray(values, dtype=float)
-    mask = (t >= t_start) & (values > floor)
+    mask = (t >= t_start) & (values > 1e-12)
     if mask.sum() < 10:
         return 0.0
     slope = np.polyfit(t[mask], np.log(values[mask]), 1)[0]
     return float(-slope)
 
 
-def build_report(traj, bands=None, window=DEFAULT_WINDOW):
+def build_report(traj):
     """Quantify a trajectory: per-signal classification, settling time and
-    trailing amplitude, the (x_c, q_m - q_m*) decay rate, and the actuated
-    power audit."""
-    bands = dict(DEFAULT_BANDS, **(bands or {}))
+    trailing amplitude in the DEFAULT_BANDS over a trailing window of
+    DEFAULT_WINDOW (at most a third of the run), the (x_c, q_m - q_m*) decay
+    rate, and the actuated power audit."""
     signals = {}
     duration = traj.t[-1] - traj.t[0] if traj.t.size else 0.0
-    win = min(window, duration / 3.0) if duration > 0 else window
+    win = min(DEFAULT_WINDOW, duration / 3.0) if duration > 0 else DEFAULT_WINDOW
     for name in ("phi", "gamma", "qm", "qr", "xc"):
         if name == "qr" and traj.n_links == 0:
             continue
         dev = signal_deviation(traj, name)
         signals[name] = SignalOutcome(
-            classification=classify(traj, name, bands[name], win),
-            settling_time=settling_time(traj, name, bands[name]),
+            classification=classify(traj, name, window=win),
+            settling_time=settling_time(traj, name),
             trailing_amplitude=trailing_amplitude(traj, name, win),
             max_abs=float(np.abs(dev).max()) if dev.size else 0.0,
-            band=bands[name],
+            band=DEFAULT_BANDS[name],
         )
 
     err = np.hstack([signal_deviation(traj, "xc"), signal_deviation(traj, "qm")])
@@ -559,8 +559,8 @@ def scenario_to_dict(scenario):
 def scenario_from_dict(doc):
     """Build and validate a scenario from its JSON document.
 
-    The setpoint invariant |g_phi(phi=0, q_m*, q_r_des)| < 1e-10 is re-checked
-    here so stale q_m* values in edited files are rejected.
+    The setpoint invariant |g_phi(phi=0, q_m*, q_r_des)| < BALANCE_TOL is
+    re-checked here so stale q_m* values in edited files are rejected.
     """
     try:
         mdoc = doc["model"]
@@ -593,7 +593,7 @@ def scenario_from_dict(doc):
     if sp is not None and sp.qm_star is not None:
         res = float(np.linalg.norm(
             balance_residual(model, sp.qm_star, sp.qr_des, sp.gamma_des)))
-        if not res < 1e-10:
+        if not res < BALANCE_TOL:
             raise ScenarioError(
                 f"setpoint q_m* does not balance gravity: |g_phi| = {res:.3e}")
     return scenario

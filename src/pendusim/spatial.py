@@ -98,8 +98,3 @@ def euler_rate_map(alpha, beta, gamma=0.0):
     check_pitch(beta)
     return rpy_frames(alpha, beta, gamma)[1]
 
-
-def rotation_about(axis, angle):
-    """Rodrigues rotation about a unit axis."""
-    k = skew(axis)
-    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)

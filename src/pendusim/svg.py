@@ -11,7 +11,7 @@ def _fmt(v):
     return f"{v:.6g}"
 
 
-def write_svg(path, title, t, series, ylabel=""):
+def write_svg(path, title, t, series):
     """Write one chart with a polyline per (label, values) pair in series."""
     t = list(map(float, t))
     lo = min((min(vals) for _, vals in series if len(vals)), default=0.0)
@@ -55,10 +55,6 @@ def write_svg(path, title, t, series, ylabel=""):
                      f'font-family="sans-serif" font-size="10">{_fmt(x)}</text>')
     parts.append(f'<text x="{MARGIN_L+pw/2}" y="{HEIGHT-6}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="11">t [s]</text>')
-    if ylabel:
-        parts.append(f'<text x="14" y="{MARGIN_T+ph/2}" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="11" '
-                     f'transform="rotate(-90 14 {MARGIN_T+ph/2})">{ylabel}</text>')
     for i, (label, vals) in enumerate(series):
         color = COLORS[i % len(COLORS)]
         pts = " ".join(f"{sx(x):.2f},{sy(float(v)):.2f}" for x, v in zip(t, vals))

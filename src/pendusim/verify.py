@@ -3,6 +3,9 @@ over seeded random in-envelope states, printed as a pass/fail table.
 
 These are the same properties the test suite asserts; having them callable
 from the command line makes any installation checkable without pytest.
+Derivatives are exact: each is the imaginary part of one assembly of complex
+configurations q + i h d (complex step, see engine), so the identities hold
+to roundoff.
 """
 
 from dataclasses import dataclass
@@ -10,9 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics, engine
-from .control import (balance_residual, pfl_input, pfl_input_transformed,
-                      solve_equilibrium_qm)
+from .control import (BALANCE_TOL, NoConvergenceError, balance_residual,
+                      pfl_input, pfl_input_transformed, solve_equilibrium_qm)
 from .model import preset_paper
+
+N_STATES = 50           # random states per property check
 
 
 @dataclass
@@ -22,24 +27,32 @@ class PropertyResult:
     detail: str
 
 
-def random_state(rng, model, attitude=0.35, mover=0.5, joint=1.0, rate=0.8):
-    """In-envelope random configuration and velocity."""
-    n = model.n_links
+def random_state(rng, model):
+    """In-envelope random configuration and velocity: roll and pitch within
+    0.35 rad, yaw and joints within 1 rad, movers within 0.5 m, rates within
+    0.8 per second."""
     q = np.concatenate([
-        rng.uniform(-attitude, attitude, 2),
+        rng.uniform(-0.35, 0.35, 2),
         rng.uniform(-1.0, 1.0, 1),
-        rng.uniform(-mover, mover, 2),
-        rng.uniform(-joint, joint, n),
+        rng.uniform(-0.5, 0.5, 2),
+        rng.uniform(-1.0, 1.0, model.n_links),
     ])
-    qd = rng.uniform(-rate, rate, model.dof)
+    qd = rng.uniform(-0.8, 0.8, model.dof)
     return q, qd
 
 
-def check_mass_matrix(model, rng, n_states=200):
+def _derivatives(model, q, directions):
+    """Assembly of the rows q + i h d, one per row d of directions; each
+    output's imaginary part over h is its exact derivative along d."""
+    steps = dynamics.CS_STEP * np.asarray(directions)
+    return engine.assemble(model, dynamics._complex_rows(q, steps))
+
+
+def check_mass_matrix(model, rng):
     worst_sym, min_eig = 0.0, np.inf
-    for _ in range(n_states):
+    for _ in range(200):        # one real assembly each
         q, _ = random_state(rng, model)
-        M = dynamics.mass_matrix(model, q)
+        M = engine.assemble1(model, q).M[0]
         worst_sym = max(worst_sym, np.abs(M - M.T).max() / np.abs(M).max())
         min_eig = min(min_eig, np.linalg.eigvalsh(M).min())
     ok = worst_sym < 1e-10 and min_eig > 0.0
@@ -47,45 +60,40 @@ def check_mass_matrix(model, rng, n_states=200):
                           f"max rel asym {worst_sym:.2e}, min eig {min_eig:.3e}")
 
 
-def check_gravity_gradient(model, rng, n_states=50):
-    h = 1e-5
+def check_gravity_gradient(model, rng):
+    """g against dV/dq, both from one assembly of the rows q + i h e_k."""
     worst = 0.0
-    for _ in range(n_states):
+    for _ in range(N_STATES):
         q, _ = random_state(rng, model)
-        g = dynamics.gravity_vector(model, q)
-        gfd = np.empty_like(g)
-        for i in range(model.dof):
-            e = np.zeros(model.dof)
-            e[i] = h
-            gfd[i] = (dynamics.potential_energy(model, q + e)
-                      - dynamics.potential_energy(model, q - e)) / (2.0 * h)
-        worst = max(worst, np.abs(g - gfd).max() / (1.0 + np.abs(g).max()))
-    ok = worst < 1e-6
+        a = _derivatives(model, q, np.eye(model.dof))
+        g = a.g[0].real
+        dV = a.V.imag / dynamics.CS_STEP
+        worst = max(worst, np.abs(g - dV).max() / (1.0 + np.abs(g).max()))
+    ok = worst < 1e-10
     return PropertyResult("gravity equals potential gradient", ok,
-                          f"max rel dev {worst:.2e} (tol 1e-6)")
+                          f"max rel dev {worst:.2e} (tol 1e-10)")
 
 
-def check_skew_symmetry(model, rng, n_states=50):
-    h = 1e-6
+def check_skew_symmetry(model, rng):
+    """dM/dt - 2C skew-symmetric: C from Eval, dM/dt along qd from one
+    assembly of the row q + i h qd."""
     worst = 0.0
-    for _ in range(n_states):
+    for _ in range(N_STATES):
         q, qd = random_state(rng, model)
-        C = dynamics.coriolis_matrix(model, q, qd)
-        Mdot = (dynamics.mass_matrix(model, q + h * qd)
-                - dynamics.mass_matrix(model, q - h * qd)) / (2.0 * h)
+        C = dynamics.Eval(model, q, qd).C
+        Mdot = _derivatives(model, q, qd[None]).M[0].imag / dynamics.CS_STEP
         S = Mdot - 2.0 * C
-        dev = np.abs(0.5 * (S + S.T)).max() / (1.0 + float(qd @ qd))
-        worst = max(worst, dev)
-    ok = worst < 1e-5
+        worst = max(worst, np.abs(0.5 * (S + S.T)).max() / (1.0 + float(qd @ qd)))
+    ok = worst < 1e-10
     return PropertyResult("Coriolis skew symmetry", ok,
-                          f"max scaled dev {worst:.2e} (tol 1e-5)")
+                          f"max scaled dev {worst:.2e} (tol 1e-10)")
 
 
-def check_stage_terms(model, rng, n_states=50):
+def check_stage_terms(model, rng):
     """The bias and C_phim an RK4 stage reads from its one complex
     configuration against the full Christoffel C built from dM/dq."""
     worst_bias, worst_cphim = 0.0, 0.0
-    for _ in range(n_states):
+    for _ in range(N_STATES):
         q, qd = random_state(rng, model)
         ev = dynamics.Eval(model, q, qd)
         C = ev.C
@@ -100,11 +108,11 @@ def check_stage_terms(model, rng, n_states=50):
                           "(tol 1e-10)")
 
 
-def check_transform_blocks(model, rng, n_states=50):
+def check_transform_blocks(model, rng):
     """The closed-form Mbar_cc and Mbar_cm against the blocks of the full
     T^-T M T^-1."""
     worst_cc, worst_cm = 0.0, 0.0
-    for _ in range(n_states):
+    for _ in range(N_STATES):
         q, qd = random_state(rng, model)
         ev = dynamics.Eval(model, q, qd)
         Tinv = np.linalg.inv(ev.T)
@@ -118,9 +126,9 @@ def check_transform_blocks(model, rng, n_states=50):
                           "(tol 1e-10)")
 
 
-def check_pfl(model, rng, n_states=50):
+def check_pfl(model, rng):
     worst_closure, worst_agree = 0.0, 0.0
-    for _ in range(n_states):
+    for _ in range(N_STATES):
         q, qd = random_state(rng, model)
         ev = dynamics.Eval(model, q, qd)
         ydd = rng.uniform(-2.0, 2.0, model.dof - 2)
@@ -135,9 +143,9 @@ def check_pfl(model, rng, n_states=50):
                           f"closure {worst_closure:.2e}, agreement {worst_agree:.2e}")
 
 
-def check_transform_consistency(model, rng, n_states=50):
+def check_transform_consistency(model, rng):
     worst = 0.0
-    for _ in range(n_states):
+    for _ in range(N_STATES):
         q, qd = random_state(rng, model)
         ev = dynamics.Eval(model, q, qd)
         tau = rng.uniform(-5.0, 5.0, model.dof)
@@ -151,30 +159,33 @@ def check_transform_consistency(model, rng, n_states=50):
                           f"max rel dev {worst:.2e} (tol 1e-6)")
 
 
-def check_com_jacobian(model, rng, n_states=30):
-    h = 1e-7
+def check_com_jacobian(model, rng):
+    """Jcom against dcom/dq, both from one assembly of the rows q + i h e_k."""
     worst = 0.0
-    for _ in range(n_states):
+    for _ in range(N_STATES):
         q, _ = random_state(rng, model)
-        J = engine.assemble1(model, q).Jcom[0]
-        for i in range(model.dof):
-            e = np.zeros(model.dof)
-            e[i] = h
-            col = (engine.assemble1(model, q + e).com[0]
-                   - engine.assemble1(model, q - e).com[0]) / (2.0 * h)
-            worst = max(worst, np.abs(J[:, i] - col).max())
-    ok = worst < 1e-6
-    return PropertyResult("CoM Jacobian matches finite differences", ok,
-                          f"max dev {worst:.2e} (tol 1e-6)")
+        a = _derivatives(model, q, np.eye(model.dof))
+        worst = max(worst, np.abs(a.Jcom[0].real
+                                  - a.com.imag.T / dynamics.CS_STEP).max())
+    ok = worst < 1e-12
+    return PropertyResult("CoM Jacobian matches its exact derivative", ok,
+                          f"max dev {worst:.2e} (tol 1e-12)")
 
 
 def check_equilibrium(model, rng):
+    """Static mover balance with the arm at (pi/4, pi/2, 0, ...), cut to the
+    model's links; no balance point within mover travel is a failure."""
     del rng
-    qr_des = np.concatenate([[np.pi / 4, np.pi / 2], np.zeros(model.n_links - 2)])
-    qm = solve_equilibrium_qm(model, qr_des)
+    name = "static mover balance residual"
+    qr_des = np.r_[np.pi / 4, np.pi / 2, np.zeros(model.n_links)][:model.n_links]
+    try:
+        qm = solve_equilibrium_qm(model, qr_des)
+    except NoConvergenceError as exc:
+        return PropertyResult(name, False, "no balance point within mover "
+                              f"travel: |g_phi| = {exc.residual:.2e} at "
+                              f"qm = {np.round(exc.qm, 5)}")
     res = float(np.linalg.norm(balance_residual(model, qm, qr_des)))
-    ok = res < 1e-10
-    return PropertyResult("static mover balance residual", ok,
+    return PropertyResult(name, res < BALANCE_TOL,
                           f"|g_phi| = {res:.2e} at qm* = {np.round(qm, 5)}")
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -90,10 +91,45 @@ def test_verify_passes(capsys):
 
 
 def test_verify_seed_robustness(desk):
-    # identical verdicts across seeds
+    # identical verdicts across seeds, on arms of 0, 1, 3 and 7 links
     from pendusim import verify
-    for seed in range(4):
-        assert verify.run_all(model=desk, seed=seed, out=lambda *_: None)
+    models = [dataclasses.replace(desk, links=()),
+              dataclasses.replace(desk, links=desk.links[:1]),
+              desk, preset_paper(7)]
+    for model in models:
+        for seed in range(4):
+            assert verify.run_all(model=model, seed=seed, out=lambda *_: None), (
+                model.n_links, seed)
+
+
+def _desk_scenario_file(tmp_path, desk, name, **model_changes):
+    """A free-law scenario file on the desk model with some model fields
+    replaced."""
+    doc = {"model": dict(model_to_dict(desk), **model_changes),
+           "controller": "free"}
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("n_links", [0, 1])
+def test_verify_short_arm_scenario_passes(tmp_path, desk, n_links, capsys):
+    """The balance check sizes its arm target to the model."""
+    links = model_to_dict(desk)["links"][:n_links]
+    path = _desk_scenario_file(tmp_path, desk, f"links{n_links}", links=links)
+    assert cli.main(["verify", "--scenario", path]) == 0
+    assert "all properties pass" in capsys.readouterr().out
+
+
+def test_verify_unreachable_balance_exits_1(tmp_path, desk, capsys):
+    """Light movers cannot balance the desk arm within their travel: the
+    balance check is a FAIL row and verify exits 1."""
+    movers = dict(model_to_dict(desk)["movers"], mass=0.1)
+    path = _desk_scenario_file(tmp_path, desk, "light", movers=movers)
+    assert cli.main(["verify", "--scenario", path]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] static mover balance residual" in out
+    assert "no balance point within mover travel" in out
 
 
 def test_verify_corrupt_model_exits_2(tmp_path, quick_scenario_path):

@@ -5,11 +5,8 @@ import pytest
 
 import oracles
 from pendusim import control, dynamics, engine
-from pendusim.dynamics import (Eval, IllConditionedTransformError,
-                               coriolis_matrix, forward_dynamics,
-                               gravity_vector, kinetic_energy, mass_matrix,
-                               potential_energy)
-from pendusim.model import State, com_jacobian, model_from_dict, preset_paper
+from pendusim.dynamics import Eval, IllConditionedTransformError, forward_dynamics
+from pendusim.model import State, model_from_dict, preset_paper
 
 
 @pytest.fixture(scope="module")
@@ -31,13 +28,13 @@ def test_mass_matrix_symmetric_positive_definite(desk):
     rng = np.random.default_rng(10)
     for _ in range(200):
         q, _ = random_state(rng, desk)
-        M = mass_matrix(desk, q)
+        M = engine.assemble1(desk, q).M[0]
         assert np.abs(M - M.T).max() < 1e-10 * np.abs(M).max()
         assert np.linalg.eigvalsh(M).min() > 0.0
 
 
 def test_mass_matrix_zero_configuration_structure(desk):
-    M = mass_matrix(desk, np.zeros(desk.dof))
+    M = engine.assemble1(desk, np.zeros(desk.dof)).M[0]
     assert M[2, 2] > 0.0
     assert abs(M[0, 2]) < 1e-12          # yaw decouples from roll
     assert M[3, 3] == pytest.approx(10.0, rel=1e-12)  # bare mover mass
@@ -47,7 +44,7 @@ def test_mass_matrix_against_kinetic_energy_hessian(desk):
     rng = np.random.default_rng(11)
     for _ in range(20):
         q, _ = random_state(rng, desk)
-        M = mass_matrix(desk, q)
+        M = engine.assemble1(desk, q).M[0]
         H = oracles.mass_matrix(desk, q)
         assert np.abs(M - H).max() < 1e-8 * max(1.0, np.abs(M).max())
 
@@ -56,7 +53,7 @@ def test_kinetic_energy_matches_independent_summation(desk):
     rng = np.random.default_rng(12)
     for _ in range(20):
         q, qd = random_state(rng, desk)
-        ke = kinetic_energy(desk, q, qd)
+        ke = Eval(desk, q, qd).kinetic_energy()
         assert ke == pytest.approx(oracles.kinetic_energy(desk, q, qd),
                                    rel=1e-10)
 
@@ -89,23 +86,26 @@ def test_batched_assembly_matches_single_configurations(n_links):
 
 
 def test_gravity_zero_at_symmetric_hang(desk):
-    g = gravity_vector(desk, np.zeros(desk.dof))
+    g = engine.assemble1(desk, np.zeros(desk.dof)).g[0]
     assert np.abs(g[0:2]).max() < 1e-12
 
 
 def test_gravity_mover_offset_pitch_torque(desk):
     q = np.zeros(desk.dof)
     q[3] = 0.4
-    g = gravity_vector(desk, q)
+    g = engine.assemble1(desk, q).g[0]
     assert abs(g[1]) > 1.0
+
+    def V(q):
+        return Eval(desk, q, np.zeros(desk.dof)).V
+
     # the gradient points uphill: tipping the offset mass down lowers V
     h = 1e-4
     qp = q.copy()
     qp[1] = -np.sign(g[1]) * h
-    assert potential_energy(desk, qp) < potential_energy(desk, q)
+    assert V(qp) < V(q)
     # and matches a plain central difference of V at the documented step
-    gfd = (potential_energy(desk, q + np.eye(desk.dof)[1] * 1e-7)
-           - potential_energy(desk, q - np.eye(desk.dof)[1] * 1e-7)) / 2e-7
+    gfd = (V(q + np.eye(desk.dof)[1] * 1e-7) - V(q - np.eye(desk.dof)[1] * 1e-7)) / 2e-7
     assert abs(g[1] - gfd) < 1e-6 * (1.0 + abs(g[1]))
 
 
@@ -113,7 +113,7 @@ def test_gravity_matches_potential_gradient(desk):
     rng = np.random.default_rng(13)
     for _ in range(100):
         q, _ = random_state(rng, desk)
-        g = gravity_vector(desk, q)
+        g = engine.assemble1(desk, q).g[0]
         ref = oracles.gravity_cs(desk, q)
         assert np.abs(g - ref).max() < 1e-6 * (1.0 + np.abs(ref).max())
 
@@ -121,7 +121,7 @@ def test_gravity_matches_potential_gradient(desk):
 def test_coriolis_vanishes_at_rest(desk):
     rng = np.random.default_rng(14)
     q, _ = random_state(rng, desk)
-    assert np.abs(coriolis_matrix(desk, q, np.zeros(desk.dof))).max() == 0.0
+    assert np.abs(Eval(desk, q, np.zeros(desk.dof)).C).max() == 0.0
 
 
 def test_skew_symmetry(desk):
@@ -129,9 +129,9 @@ def test_skew_symmetry(desk):
     h = 1e-6
     for _ in range(100):
         q, qd = random_state(rng, desk)
-        C = coriolis_matrix(desk, q, qd)
-        Mdot = (mass_matrix(desk, q + h * qd)
-                - mass_matrix(desk, q - h * qd)) / (2.0 * h)
+        C = Eval(desk, q, qd).C
+        Mdot = (engine.assemble1(desk, q + h * qd).M[0]
+                - engine.assemble1(desk, q - h * qd).M[0]) / (2.0 * h)
         S = Mdot - 2.0 * C
         qn2 = float(qd @ qd)
         assert abs(qd @ S @ qd) < 1e-5 * (1.0 + qn2)
@@ -146,7 +146,7 @@ def test_mass_matrix_yaw_invariance(desk):
         q, _ = random_state(rng, desk)
         q2 = q.copy()
         q2[2] += 0.7
-        M1, M2 = mass_matrix(desk, q), mass_matrix(desk, q2)
+        M1, M2 = engine.assemble1(desk, q).M[0], engine.assemble1(desk, q2).M[0]
         assert np.abs(M1 - M2).max() < 1e-10 * np.abs(M1).max()
 
 
@@ -178,7 +178,7 @@ def test_transform_rows_and_blocks(desk):
     rng = np.random.default_rng(18)
     q, qd = random_state(rng, desk)
     ev = Eval(desk, q, qd)
-    assert np.array_equal(ev.T[0:2], com_jacobian(desk, q))
+    assert np.array_equal(ev.T[0:2], engine.assemble1(desk, q).Jcom[0])
     assert np.array_equal(ev.T[2:, 2:], np.eye(desk.dof - 2))
     # u never enters the first two transformed equations
     TinvT = np.linalg.inv(ev.T).T
@@ -242,12 +242,12 @@ def test_guard2_records_exact_condition_and_rejects(desk):
 
 
 def test_energy_definitions(desk):
-    assert potential_energy(desk, np.zeros(desk.dof)) == 0.0
+    assert Eval(desk, np.zeros(desk.dof), np.zeros(desk.dof)).V == 0.0
     rng = np.random.default_rng(20)
     q, qd = random_state(rng, desk)
-    assert kinetic_energy(desk, q, qd) == pytest.approx(
-        0.5 * qd @ mass_matrix(desk, q) @ qd, rel=1e-12)
-    assert kinetic_energy(desk, q, np.zeros(desk.dof)) == 0.0
+    assert Eval(desk, q, qd).kinetic_energy() == pytest.approx(
+        0.5 * qd @ engine.assemble1(desk, q).M[0] @ qd, rel=1e-12)
+    assert Eval(desk, q, np.zeros(desk.dof)).kinetic_energy() == 0.0
 
 
 def test_free_oscillation_matches_linearized_frequency(desk):
@@ -264,9 +264,9 @@ def test_free_oscillation_matches_linearized_frequency(desk):
     for i in range(2):
         e = np.zeros(desk.dof)
         e[i] = h
-        K[:, i] = (gravity_vector(desk, e)[0:2]
-                   - gravity_vector(desk, -e)[0:2]) / (2.0 * h)
-    Mp = mass_matrix(desk, np.zeros(desk.dof))[0:2, 0:2]
+        K[:, i] = (engine.assemble1(desk, e).g[0][0:2]
+                   - engine.assemble1(desk, -e).g[0][0:2]) / (2.0 * h)
+    Mp = engine.assemble1(desk, np.zeros(desk.dof)).M[0][0:2, 0:2]
     w_lin = np.sqrt(np.linalg.eigvals(np.linalg.solve(Mp, K)).real)
 
     class Hold:
@@ -348,7 +348,7 @@ STAGE_MODELS = _stage_models()
 def test_complex_row_real_parts_match_real_assembly(name, model):
     """The real parts of a complex configuration's assembly are the real
     assembly: bit for bit on the presets, whose transform rows must equal
-    com_jacobian exactly, and to roundoff on general models, where numpy's
+    the real Jcom exactly, and to roundoff on general models, where numpy's
     complex and real matrix products accumulate in different orders."""
     rng = np.random.default_rng(61)
     exact = not name.startswith("random")
@@ -380,8 +380,8 @@ def test_stage_terms_match_full_christoffel(name, model):
         assert np.abs(ev.C_phim - C[0:2, 3:5]).max() <= 1e-12 * np.abs(C).max()
         # T-dot rows: the rate of the CoM Jacobian along qd.
         h = 1e-6
-        Jdot = (com_jacobian(model, q + h * qd)
-                - com_jacobian(model, q - h * qd)) / (2.0 * h)
+        Jdot = (engine.assemble1(model, q + h * qd).Jcom[0]
+                - engine.assemble1(model, q - h * qd).Jcom[0]) / (2.0 * h)
         assert np.abs(ev.Tdot[0:2] - Jdot).max() <= 1e-7 * (1.0 + np.abs(Jdot).max())
         assert np.abs(ev.Tdot[2:]).max() == 0.0
 
@@ -531,17 +531,17 @@ def test_dynamics_identities_on_random_models(n_links):
         N = model.dof
         for _ in range(3):
             q, qd = random_state(rng, model)
-            M = mass_matrix(model, q)
+            M = engine.assemble1(model, q).M[0]
             assert np.abs(M - M.T).max() <= 1e-12 * np.abs(M).max()
             assert np.linalg.eigvalsh(M).min() > 0.0
 
-            g = gravity_vector(model, q)
+            g = engine.assemble1(model, q).g[0]
             dV = engine.assemble(model, dynamics._complex_rows(q, h * np.eye(N))).V.imag / h
             gscale = 1.0 + np.abs(g).max()
             assert np.abs(g - dV).max() <= 1e-10 * gscale
             assert np.abs(g - oracles.gravity_cs(model, q)).max() <= 1e-9 * gscale
 
-            C = coriolis_matrix(model, q, qd)
+            C = Eval(model, q, qd).C
             Mdot = engine.assemble(model, dynamics._complex_rows(q, h * qd[None])).M[0].imag / h
             S = Mdot - 2.0 * C
             assert np.abs(S + S.T).max() <= 1e-10 * (1.0 + np.abs(Mdot).max())

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 import oracles
+from pendusim.engine import assemble1
 from pendusim.model import (InvalidBodyError, MoverParams, PlatformParams,
                             SerialLink, State, SystemModel,
                             UnsupportedPresetError, body_position,
-                            com_jacobian, com_xy, model_from_dict,
-                            model_to_dict, point_jacobian, preset_paper)
+                            model_from_dict, model_to_dict, point_jacobian,
+                            preset_paper)
 from pendusim.spatial import GimbalLockError
 
 
@@ -43,7 +44,7 @@ def test_preset_rejects_other_link_counts():
 
 def test_preset_zero_configuration_symmetric(desk):
     # arm points straight up, movers centered: CoM on the pendulum axis
-    assert np.abs(com_xy(desk, np.zeros(desk.dof))).max() < 1e-14
+    assert np.abs(assemble1(desk, np.zeros(desk.dof)).com[0]).max() < 1e-14
 
 
 def test_platform_hangs_straight_down(desk):
@@ -116,8 +117,8 @@ def test_com_hand_weighting(desk):
     q = np.zeros(desk.dof)
     q[3] = 0.4
     expected = 0.4 * desk.movers.mass / desk.total_mass
-    assert com_xy(desk, q)[0] == pytest.approx(expected, rel=1e-12)
-    assert com_xy(desk, q)[1] == pytest.approx(0.0, abs=1e-14)
+    assert assemble1(desk, q).com[0, 0] == pytest.approx(expected, rel=1e-12)
+    assert assemble1(desk, q).com[0, 1] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_com_jacobian_matches_finite_differences(desk):
@@ -125,11 +126,12 @@ def test_com_jacobian_matches_finite_differences(desk):
     h = 1e-7
     for _ in range(100):
         q = random_q(rng, desk)
-        J = com_jacobian(desk, q)
+        J = assemble1(desk, q).Jcom[0]
         for i in range(desk.dof):
             e = np.zeros(desk.dof)
             e[i] = h
-            col = (com_xy(desk, q + e) - com_xy(desk, q - e)) / (2.0 * h)
+            col = (assemble1(desk, q + e).com[0]
+                   - assemble1(desk, q - e).com[0]) / (2.0 * h)
             assert np.abs(J[:, i] - col).max() < 1e-6
 
 
@@ -147,7 +149,7 @@ def test_com_jacobian_mass_weighted_identity(desk):
         for body, m in zip(bodies, masses):
             acc += m * point_jacobian(desk, q, body)[0:2, :]
         acc /= desk.total_mass
-        assert np.abs(acc - com_jacobian(desk, q)).max() < 1e-10
+        assert np.abs(acc - assemble1(desk, q).Jcom[0]).max() < 1e-10
 
 
 def test_model_json_round_trip(desk):
@@ -162,7 +164,7 @@ def test_model_json_round_trip(desk):
         assert a.mass == b.mass
     rng = np.random.default_rng(8)
     q = random_q(rng, desk)
-    assert np.array_equal(com_xy(clone, q), com_xy(desk, q))
+    assert np.array_equal(assemble1(clone, q).com, assemble1(desk, q).com)
 
 
 def test_model_validation():
@@ -192,4 +194,4 @@ def test_movers_only_model(desk):
     assert bare.dof == 5
     q = np.zeros(5)
     q[3] = 0.2
-    assert com_xy(bare, q)[0] == pytest.approx(0.2 * 10.0 / 30.0, rel=1e-12)
+    assert assemble1(bare, q).com[0, 0] == pytest.approx(0.2 * 10.0 / 30.0, rel=1e-12)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from pendusim.spatial import (GimbalLockError, euler_rate_map, rot_rpy,
-                              rotation_about, skew)
+from pendusim.spatial import GimbalLockError, euler_rate_map, rot_rpy, skew
 
 
 def test_identity_at_zero():
@@ -80,7 +79,3 @@ def test_skew_matches_cross():
     v, w = rng.standard_normal(3), rng.standard_normal(3)
     assert np.allclose(skew(v) @ w, np.cross(v, w))
 
-
-def test_rotation_about_unit_axis():
-    R = rotation_about(np.array([0.0, 0.0, 1.0]), np.pi / 2)
-    assert np.allclose(R, rot_rpy(0.0, 0.0, np.pi / 2), atol=1e-15)
