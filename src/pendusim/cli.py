@@ -3,11 +3,17 @@ static mover-balance solver.
 
 Exit codes: 0 success, 1 property or convergence failure, 2 usage/config
 error, 3 preset outcome mismatch.
+
+``--log-level`` sets the level of the ``pendusim`` loggers for one call.
+Their records go to standard error as the bare message, as Python's
+last-resort handler writes them when nothing is configured, so the default
+level, WARNING, leaves the output as it is without the option.
 """
 
 import argparse
 import dataclasses
 import json
+import logging
 import os
 import sys
 
@@ -191,6 +197,10 @@ def build_parser():
         prog="pendusim",
         description="Suspended-platform oscillation damping: simulation, "
                     "verification, and static balance tools.")
+    parser.add_argument("--log-level", default="WARNING",
+                        choices=("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"),
+                        dest="log_level", help="least severe log record shown "
+                        "on standard error (default WARNING)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="simulate a scenario or preset")
@@ -222,6 +232,22 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    # The handler (bare messages to the current sys.stderr, as the
+    # last-resort handler writes them) and the level hold for this call only,
+    # so repeated calls in one process neither stack handlers nor leak a level.
+    log = logging.getLogger("pendusim")
+    handler = logging.StreamHandler()
+    previous = log.level
+    log.addHandler(handler)
+    log.setLevel(args.log_level)
+    try:
+        return _dispatch(args)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(previous)
+
+
+def _dispatch(args):
     try:
         if args.command == "run":
             code = cmd_run(args)

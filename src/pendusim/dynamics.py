@@ -5,20 +5,21 @@ tau = (0, 0, u): the actuated forces u drive every coordinate except roll and
 pitch.  Every term at a state is read from one ``Eval(model, q, qd)``: M, g,
 the potential V, ``kinetic_energy()``, the CoM and its Jacobian, C and the
 transformed terms (``engine.assemble`` serves batches).  It assembles a
-single complex configuration q + i h qd (h = 1e-20): its real
-parts are M, g, the CoM data and the body Jacobians, its imaginary parts the
-exact Jacobian rates along qd (complex-step differentiation).  From these
-it reads the bias C qd + g as the Newton-Euler forces projected through the
-Jacobians,
+single complex configuration q + i h qd (h = 1e-20): its real parts are M, g
+and the spatial body Jacobians J = [Jv; Jw] and inertias H = diag(m I3, Iw),
+its imaginary parts their exact rates along qd (complex-step
+differentiation).  The bias C qd + g is the Newton-Euler forces projected
+through the Jacobians, in spatial form one product with the imaginary part
+of the body momenta H J qd, whose rate at qdd = 0 is
+(m Jv_dot qd, Iw Jw_dot qd + w x Iw w):
 
-    C qd + g = sum_b Jv_b' m_b Jv_b_dot qd + Jw_b' (I_b Jw_b_dot qd
-               + w_b x I_b w_b) + g,
+    C qd + g = J' Im(H J qd) / h + g,
 
-which holds for any factorization of C, and the Christoffel block C_phim
-exactly (see Eval).  The full Christoffel C, built from dM/dq by one complex
-row per coordinate, keeps the passivity identity qd' (dM/dt - 2C) qd = 0
-testable.  The transform T replaces roll/pitch rates with the world CoM x, y
-rates:
+which holds for any factorization of C.  The Christoffel block C_phim is
+exact too (see Eval).  The full Christoffel C, built from dM/dq by one
+complex row per coordinate, keeps the passivity identity
+qd' (dM/dt - 2C) qd = 0 testable.  The transform T replaces roll/pitch rates
+with the world CoM x, y rates:
 
     qbar_dot = T qd,   qbar = (x_c, gamma, q_m, q_r)
 
@@ -121,23 +122,26 @@ def _dM_steps(N):
 class Eval:
     """Fused per-state evaluation shared by the simulator and controllers.
 
-    One engine call on the complex configuration q + i h qd provides M, g,
-    the potential, CoM data, the bias C qd + g and the Christoffel block
-    C_phim.  C_phim needs no full C: only the point-mass movers have mover
-    columns in their point Jacobians and no rotating body depends on q_m, so
-    the Christoffel symbols reduce to
+    One engine call on the complex configuration q + i h qd provides M, g
+    and the bias C qd + g, which the constructor reads; a free-law stage
+    reads nothing else.  Every other term is a cached property built from
+    the same row on first read and only then: the potential V, the CoM and
+    its Jacobian, and the Christoffel block C_phim.  C_phim needs no full C:
+    only the point-mass movers have mover columns in their point Jacobians
+    and no rotating body depends on q_m, so the Christoffel symbols reduce
+    to
 
         C_phim = sum over movers b of m_b Jv_b[:, 0:2]' Jv_b_dot[:, 3:5].
 
-    Every other term is a cached property, built on first read and only
-    then: the guarded A^-1, the closed-form blocks Mbar_cm and Mbar_cc, dM/dq
-    (yaw slice analytic zero: the kinetic energy is invariant under yaw), the
-    full Christoffel C, T, Tdot, T^-1, the full Mbar, Cbar and gbar.  Every
-    2x2 block a law inverts passes ``guard2``, which records its condition
-    number in ``conds``.  The laws take an Eval as both the state and its
-    dynamics terms.  ``pfl_solution`` holds the (u, qdd) pair of the last
-    collocated PFL at this state (see control.pfl_input), which the
-    simulation stage integrates without a mass-matrix solve.
+    Then the terms derived from these: the guarded A^-1, the closed-form
+    blocks Mbar_cm and Mbar_cc, dM/dq (yaw slice analytic zero: the kinetic
+    energy is invariant under yaw), the full Christoffel C, T, Tdot, T^-1,
+    the full Mbar, Cbar and gbar.  Every 2x2 block a law inverts passes
+    ``guard2``, which records its condition number in ``conds``.  The laws
+    take an Eval as both the state and its dynamics terms.  ``pfl_solution``
+    holds the (u, qdd) pair of the last collocated PFL at this state (see
+    control.pfl_input), which the simulation stage integrates without a
+    mass-matrix solve.
     """
 
     #: Configurations one evaluation assembles.
@@ -146,34 +150,44 @@ class Eval:
     def __init__(self, model, q, qd):
         q = np.asarray(q, dtype=float)
         qd = np.asarray(qd, dtype=float)
-        N = model.dof
-        nb = model.n_bodies
-        h = CS_STEP
-        a = engine.assemble(model, _complex_rows(q, h * qd[None]))
-
+        a = engine.assemble(model, _complex_rows(q, CS_STEP * qd[None]))
         self.model = model
         self.q = q
         self.qd = qd
+        self._row = a
         self.M = np.ascontiguousarray(a.M[0].real)
         self.g = a.g[0].real
-        self.V = float(a.V[0].real) - engine.potential_offset(model)
-        self.com = a.com[0].real
-        self._Jcom_c = a.Jcom[0]
-        self.Jcom = self._Jcom_c.real
         self.conds = {}
         self.pfl_solution = None
+        # Spatial bias J' Im(H J qd) / h + g: the imaginary part of each
+        # body's momentum H J qd is h times its rate at qdd = 0,
+        # H Jdot qd + Hdot J qd = (m Jv_dot qd, Iw Jw_dot qd + w x Iw w);
+        # qd is real, so it is the imaginary part of H J times qd.
+        N = model.dof
+        rate = a.HJ.imag.reshape(-1, N) @ qd
+        self.bias = rate @ a.J.real.reshape(-1, N) / CS_STEP + self.g
 
-        # Newton-Euler bias: the imaginary parts of the body momenta m Jv qd
-        # and Iw Jw qd are h times their rates at qdd = 0, m Jv_dot qd and
-        # Iw Jw_dot qd + Iw_dot w = Iw Jw_dot qd + w x Iw w.
-        Jv = a.Jv[0].reshape(nb * 3, N)
-        Jw = a.Jw[0].reshape(nb * 3, N)
-        p_rate = (Jv @ qd).imag.reshape(nb, 3) * model._masses[:, None]
-        L_rate = (a.Iw[0] @ (Jw @ qd).reshape(nb, 3, 1)).imag
-        self.bias = (Jv.real.T @ p_rate.reshape(-1)
-                     + Jw.real.T @ L_rate.reshape(-1)) / h + self.g
-        Jm = a.Jv[0, 1:3].reshape(6, N)
-        self.C_phim = (Jm[:, 0:2].real.T @ Jm[:, 3:5].imag) * (model.movers.mass / h)
+    @functools.cached_property
+    def C_phim(self):
+        """Christoffel block C[0:2, 3:5] from the stage row (see the class
+        docstring)."""
+        Jm = self._row.Jv[0, 1:3].reshape(6, self.model.dof)
+        return (Jm[:, 0:2].real.T @ Jm[:, 3:5].imag) * (self.model.movers.mass / CS_STEP)
+
+    @functools.cached_property
+    def V(self):
+        """Potential energy relative to the zero configuration's."""
+        return float(self._row.V[0].real) - engine.potential_offset(self.model)
+
+    @functools.cached_property
+    def com(self):
+        """World x, y of the system CoM."""
+        return self._row.com[0].real
+
+    @functools.cached_property
+    def Jcom(self):
+        """CoM Jacobian (2 x N)."""
+        return self._row.Jcom[0].real
 
     def guard2(self, name, A, error):
         """Record the exact 2-norm condition number of the 2x2 block A (nested
@@ -222,7 +236,7 @@ class Eval:
     def Tdot(self):
         """Rate of T along qd: the exact Jcom rate from the complex row."""
         Tdot = np.zeros((self.model.dof, self.model.dof))
-        Tdot[0:2] = self._Jcom_c.imag / CS_STEP
+        Tdot[0:2] = self._row.Jcom[0].imag / CS_STEP
         return Tdot
 
     @functools.cached_property

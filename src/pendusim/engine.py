@@ -1,17 +1,26 @@
 """Batched kinematics and mass-matrix assembly.
 
-Everything the dynamics layer needs per configuration (body positions and
-joint origins, point and angular Jacobians, world inertias, mass matrix,
-gravity vector, potential, CoM and its Jacobian) is assembled for a whole
-batch of configurations in one vectorized pass.  ``assemble`` (a batch) and
-``dynamics.Eval`` (one state) are the only readers of these terms.  Every
-operation is analytic, so a complex configuration q + i h v assembles each
-quantity with its exact directional derivative along v in the imaginary part
-(complex-step differentiation, Squire & Trapp 1998):
-the dynamics layer reads the Jacobian rates of one RK4 stage from one such
-row, and builds dM/dq from one row per coordinate.  The real parts of a
-complex row are the real assembly of q, to roundoff: numpy's complex and real
-matrix products may accumulate in different orders.
+Everything the dynamics layer needs per configuration is assembled for a
+whole batch of configurations in one vectorized pass, in spatial form
+(Featherstone, *Rigid Body Dynamics Algorithms*, 2008): each body's point
+and angular Jacobian rows are stacked into one 6-row Jacobian J = [Jv; Jw]
+of shape (B, body, 6, N), its inertia into the block-diagonal H =
+diag(m I3, Iw) with the world inertia Iw, and the mass matrix is one pair of
+products,
+
+    M = sym(J' (H J)),
+
+with H J the body momentum Jacobians (momentum = H J qd).  g is the z row of
+their sum over bodies times gravity.  ``Jv``, ``Jw`` and ``Iw`` are views of
+J and H; the potential, the CoM and its Jacobian are built on first read.
+``assemble`` (a batch) and ``dynamics.Eval`` (one state) are the only
+readers of these terms.  Every operation is analytic, so a complex
+configuration q + i h v assembles each quantity with its exact directional
+derivative along v in the imaginary part (complex-step differentiation,
+Squire & Trapp 1998): the dynamics layer reads the bias of one RK4 stage
+from one such row, and builds dM/dq from one row per coordinate.  The real
+parts of a complex row are the real assembly of q, to roundoff: numpy's
+complex and real matrix products may accumulate in different orders.
 
 Bodies are ordered: platform, mover 1, mover 2, link 1 .. link n (CoM).
 Movers are point masses and carry no rotational inertia.
@@ -30,7 +39,7 @@ class _Layout:
     """Index tables of one (link count, batch size) for assemble."""
 
     __slots__ = ("gP", "gO", "gA", "G", "rod_trig", "rod_const", "eye",
-                 "target", "gather", "n_cross", "mask", "w_mask")
+                 "target", "gather", "n_cross", "mask")
 
 
 @functools.lru_cache(maxsize=64)
@@ -93,18 +102,16 @@ def _layout(n, B):
     nxt, prv = np.array([1, 2, 0]), np.array([2, 0, 1])
     target, mask, factors = [], [], [[] for _ in range(6)]
     for body, col, a, v, v0, m in entries:
-        target.append(((b * nb + body) * 3 + xyz[:, None]) * N + col)
+        target.append(((b * nb + body) * 6 + xyz[:, None]) * N + col)
         mask.append(np.full((3, B), m))
         for f, (vec, perm) in zip(factors, [(a, nxt), (a, prv), (v, nxt),
                                             (v0, nxt), (v, prv), (v0, prv)]):
             f.append(at(vec[0][perm], vec[1][perm]))
-    lay.target = np.concatenate(target).ravel()
-    lay.mask = np.concatenate(mask).ravel()
-    lay.n_cross = lay.target.size
+    lay.n_cross = sum(t.size for t in target)
 
-    # Angular Jacobian entries, in (batch, body, xyz, column) order: E for
-    # the platform and every link, the masked joint axes for the links, the
-    # zero group elsewhere.
+    # Angular Jacobian entries, the rows 3:6 of J, in (batch, body, xyz,
+    # column) order: E for the platform and every link, the masked joint
+    # axes for the links, the zero group elsewhere.
     w_g = np.full((nb, 3, N), g_zero)
     w_c = np.zeros((nb, 3, N), dtype=np.intp)
     w_mask = np.ones((nb, 3, N))
@@ -116,20 +123,65 @@ def _layout(n, B):
         w_c[3 + i, :, 5:] = xyz[:, None]
         w_mask[3 + i, :, 5:] = np.tril(np.ones((n, n)))[i]
     w_src = (w_g[None] * B + b[:, None, None, None]) * 3 + w_c[None]
-    lay.w_mask = np.tile(w_mask.ravel(), B)
-    # One gather serves every factor: the six cross-product factor runs, then Jw.
+    w_target = np.arange(B * nb * 6 * N).reshape(B, nb, 6, N)[:, :, 3:6]
+    # One gather serves every factor: the six cross-product factor runs, then
+    # Jw.  One scatter writes the cross products and Jw into J.
     lay.gather = np.concatenate([np.concatenate(f).ravel() for f in factors]
                                 + [w_src.ravel()])
+    lay.target = np.concatenate([t.ravel() for t in target + [w_target]])
+    lay.mask = np.concatenate([m.ravel() for m in mask] + [np.tile(w_mask.ravel(), B)])
     return lay
 
 
 class Assembled:
-    """Raw products of one assembly call, one row per configuration:
-    ``p_bodies``, ``Jv``, ``Jw`` and ``Iw`` per body in the module's order,
-    ``link_origin`` per joint."""
+    """Products of one assembly call, one row per configuration:
+    ``p_bodies``, the spatial Jacobians ``J`` (rows Jv; Jw), inertias ``H``
+    (blocks m I3, Iw) and momentum Jacobians ``HJ`` per body in the module's
+    order, ``link_origin`` per joint, ``M`` and ``g``.  ``Jv``, ``Jw`` and
+    ``Iw`` are views of J and H; V, com and Jcom are built on first read."""
 
-    __slots__ = ("link_origin", "p_bodies", "Jv", "Jw", "Iw", "M", "g", "V",
-                 "com", "Jcom")
+    def __init__(self, model, link_origin, p_bodies, J, H, HJ, M, g):
+        self.model = model
+        self.link_origin = link_origin
+        self.p_bodies = p_bodies
+        self.J = J
+        self.H = H
+        self.HJ = HJ
+        self.M = M
+        self.g = g
+
+    @property
+    def Jv(self):
+        return self.J[:, :, 0:3]
+
+    @property
+    def Jw(self):
+        return self.J[:, :, 3:6]
+
+    @property
+    def Iw(self):
+        return self.H[:, :, 3:6, 3:6]
+
+    @functools.cached_property
+    def _first_moment(self):
+        """sum_b m_b p_b per configuration."""
+        return np.add.reduce(self.p_bodies * self.model._masses[:, None], axis=1)
+
+    @functools.cached_property
+    def V(self):
+        """Potential energy."""
+        return self.model.gravity * self._first_moment[:, 2]
+
+    @functools.cached_property
+    def com(self):
+        """World x, y of the system CoM."""
+        return self._first_moment[:, 0:2] * self.model._inv_total_mass
+
+    @functools.cached_property
+    def Jcom(self):
+        """Jacobian of com: the x, y rows of sum_b m_b Jv_b over the total
+        mass."""
+        return np.add.reduce(self.HJ[:, :, 0:2], axis=1) * self.model._inv_total_mass
 
 
 def assemble(model, Q):
@@ -138,12 +190,11 @@ def assemble(model, Q):
 
     The batch is small (one configuration per RK4 stage), so the cost is the
     number and shape of array operations rather than their size: the
-    per-body kinematics run on contiguous (item, batch, xyz) blocks and the
-    Jacobians are gathered in a few flat operations (see _layout).  The mass
-    sums are elementwise products and sums over the body axis: numpy's
-    complex-by-real matrix-vector product and division round differently from
-    the real ones, these do not.  On the preset models a complex row's real
-    parts are then the real assembly bit for bit.
+    per-body kinematics run on contiguous (item, batch, xyz) blocks, the
+    Jacobians are gathered and scattered into J in a few flat operations (see
+    _layout), and M is the one pair of products J' (H J).  The point rows of
+    H J are m Jv exactly (the off-diagonal blocks of H are zero), so g and
+    Jcom are sums of m Jv over the bodies, in body order.
     """
     Q = np.asarray(Q)
     Q = Q.astype(complex if Q.dtype.kind == "c" else float, copy=False)
@@ -160,7 +211,7 @@ def assemble(model, Q):
     np.sin(Q.T, out=trig[0])
     np.cos(Q.T, out=trig[1])
     R, E = spatial.rpy_frames_sc(trig[0, 0:3], trig[1, 0:3])
-    ex, ez = R[:, :, 0], R[:, :, 2]
+    ez = R[:, :, 2]
 
     S = np.zeros((lay.G, B, 3), dtype=dtype)
     S[0:3] = E.transpose(1, 0, 2)
@@ -194,57 +245,40 @@ def assemble(model, Q):
     np.add(origins, P[1:, 0], out=p_bodies[3:])
     S[lay.gA:lay.gA + n] = P[:n, 2]
 
-    # Point Jacobians of every body CoM: attitude columns E[:, c] x p (rigid
-    # rotation about the pivot), arm columns axis_j x (p - origin_j) on and
-    # below the chain's diagonal, and the movers' rail directions.
+    # Spatial Jacobians of every body CoM.  Point rows: attitude columns
+    # E[:, c] x p (rigid rotation about the pivot), arm columns
+    # axis_j x (p - origin_j) on and below the chain's diagonal, and the
+    # movers' rail directions.  Angular rows for the rotating bodies
+    # (platform and links).  The cross products overwrite the last factor
+    # run, which directly precedes the Jw run, so one masked run is
+    # scattered.
     F = S.reshape(-1).take(lay.gather)
     L = lay.n_cross
     an, ap, bn, bn0, bp, bp0 = (F[i * L:(i + 1) * L] for i in range(6))
-    arm = an * (bp - bp0)
-    arm -= ap * (bn - bn0)
-    arm *= lay.mask
-    Jv = np.zeros((B, nb, 3, N), dtype=dtype)
-    Jv.reshape(-1)[lay.target] = arm
-    Jv[:, 1, :, 3] = ex
-    Jv[:, 2, :, 4] = R[:, :, 1]
+    np.subtract(an * (bp - bp0), ap * (bn - bn0), out=F[5 * L:6 * L])
+    vals = F[5 * L:]
+    vals *= lay.mask
+    J = np.zeros((B, nb, 6, N), dtype=dtype)
+    J.reshape(-1)[lay.target] = vals
+    J[:, 1, 0:3, 3] = R[:, :, 0]
+    J[:, 2, 0:3, 4] = R[:, :, 1]
 
-    # Angular Jacobians for the rotating bodies (platform and links).
-    Jw = (F[6 * L:] * lay.w_mask).reshape(B, nb, 3, N)
-
-    # World inertias of the rotating bodies, platform and links in one pass
-    # over the frame chain.
+    # Spatial inertias: the model's mass template with the world inertias
+    # of the rotating bodies, platform and links in one pass over the frame
+    # chain.
     I_rot = frames @ model._frame_inertias[:, None] @ frames.transpose(0, 1, 3, 2)
-    Iw = np.zeros((B, nb, 3, 3), dtype=dtype)
-    Iw[:, 0] = I_rot[0]
-    Iw[:, 3:] = I_rot[1:].transpose(1, 0, 2, 3)
+    H = np.empty((B, nb, 6, 6), dtype=dtype)
+    H[:] = model._body_inertias
+    H[:, 0, 3:6, 3:6] = I_rot[0]
+    H[:, 3:, 3:6, 3:6] = I_rot[1:].transpose(1, 0, 2, 3)
 
-    masses = model._masses
-    Wv = Jv * model._jacobian_masses
-    IwJw = Iw @ Jw
-    Jv_f = Jv.reshape(B, nb * 3, N)
-    Wv_f = Wv.reshape(B, nb * 3, N)
-    Jw_f = Jw.reshape(B, nb * 3, N)
-    IwJw_f = IwJw.reshape(B, nb * 3, N)
-    M = Jv_f.transpose(0, 2, 1) @ Wv_f + Jw_f.transpose(0, 2, 1) @ IwJw_f
+    HJ = H @ J
+    M = J.reshape(B, nb * 6, N).transpose(0, 2, 1) @ HJ.reshape(B, nb * 6, N)
     M = np.add(M, M.transpose(0, 2, 1))
     M *= 0.5
-
-    g0 = model.gravity
-    Wsum = Wv.sum(axis=1)
-    p_all = p_bodies.transpose(1, 0, 2)
-    out = Assembled()
-    out.link_origin = origins.transpose(1, 0, 2)
-    out.p_bodies = p_all
-    out.Jv = Jv
-    out.Jw = Jw
-    out.Iw = Iw
-    out.M = M
-    out.g = g0 * Wsum[:, 2]
-    msum = (p_all * masses[:, None]).sum(axis=1)
-    out.V = g0 * msum[:, 2]
-    out.com = msum[:, 0:2] * model._inv_total_mass
-    out.Jcom = Wsum[:, 0:2] * model._inv_total_mass
-    return out
+    g = model.gravity * np.add.reduce(HJ[:, :, 2], axis=1)
+    return Assembled(model, origins.transpose(1, 0, 2), p_bodies.transpose(1, 0, 2),
+                     J, H, HJ, M, g)
 
 
 def assemble1(model, q):

@@ -157,10 +157,12 @@ class SystemModel:
         object.__setattr__(self, "_masses", masses)
         object.__setattr__(self, "_total_mass", float(masses.sum()))
         object.__setattr__(self, "_inv_total_mass", 1.0 / self._total_mass)
-        # Body masses repeated over the rows of a (body, xyz, coordinate)
-        # point Jacobian block.
-        object.__setattr__(self, "_jacobian_masses",
-                           np.repeat(masses, 3 * (5 + n)).reshape(3 + n, 3, 5 + n))
+        # Spatial inertia template of each body, diag(m I3, 0): the engine
+        # fills the rotational block with the world inertia of each rotating
+        # body (movers are point masses and keep a zero block).
+        template = np.zeros((3 + n, 6, 6))
+        template[:, [0, 1, 2], [0, 1, 2]] = masses[:, None]
+        object.__setattr__(self, "_body_inertias", template)
         object.__setattr__(self, "_v0_cache", [None])
 
     @property

@@ -189,21 +189,19 @@ def _stage(model, q, qd, controller, tau_ext):
     """One derivative evaluation of the closed loop.  When u came from the
     collocated PFL, the accelerations it solved for are integrated as they
     are, plus M^-1 tau_ext; any other input (the free law, a bare u) goes
-    through forward dynamics with tau_ext in the applied force."""
+    through forward dynamics with tau_ext in the applied force.  The N-vector
+    force (0, 0, u) + tau_ext is built only when tau_ext or forward dynamics
+    needs it."""
     ev = dynamics.Eval(model, q, qd)
     u = controller.u_vector(ev)
-    tau_act = np.zeros(qd.size)
-    tau_act[2:] = u
-    if tau_ext is not None:
-        tau_act = tau_act + tau_ext
     pfl = ev.pfl_solution
-    if pfl is not None and pfl[0] is u:
-        qdd = pfl[1]
-        if tau_ext is not None:
-            qdd = qdd + ev.act_solve(tau_ext)
-    else:
-        qdd = ev.forward(tau_act)
-    return ev, u, qdd, float(qd @ tau_act)
+    collocated = pfl is not None and pfl[0] is u
+    if collocated and tau_ext is None:
+        return ev, u, pfl[1], float(qd[2:] @ u)
+    tau = np.zeros(qd.size) if tau_ext is None else tau_ext.copy()
+    tau[2:] += u
+    qdd = pfl[1] + ev.act_solve(tau_ext) if collocated else ev.forward(tau)
+    return ev, u, qdd, float(qd @ tau)
 
 
 def _rk4(model, q, qd, controller, tau_ext, dt, a1, p1):
@@ -317,6 +315,9 @@ def run(scenario):
         # end evaluates one more at the final state, which it logs.
         steps=k, stage_evaluations=4 * k + (0 if escaped else 1),
     )
+    logger.info("run %s: %d steps, %d stage evaluations",
+                scenario.label or scenario.controller, traj.steps,
+                traj.stage_evaluations)
     return traj, build_report(traj)
 
 
@@ -417,7 +418,9 @@ def build_report(traj):
     """Quantify a trajectory: per-signal classification, settling time and
     trailing amplitude in the DEFAULT_BANDS over a trailing window of
     DEFAULT_WINDOW (at most a third of the run), the (x_c, q_m - q_m*) decay
-    rate, and the actuated power audit."""
+    rate, and the actuated power audit (its worst defect |dE - W| over the
+    logged samples and the time of that sample, None when nothing was
+    logged)."""
     signals = {}
     duration = traj.t[-1] - traj.t[0] if traj.t.size else 0.0
     win = min(DEFAULT_WINDOW, duration / 3.0) if duration > 0 else DEFAULT_WINDOW
@@ -441,12 +444,15 @@ def build_report(traj):
     if traj.t.size:
         e_tot = traj.e_kin + traj.e_pot
         delta_e = e_tot - e_tot[0]
-        defect = float(np.abs(delta_e - traj.work).max())
+        defects = np.abs(delta_e - traj.work)
+        worst = int(np.argmax(defects))
+        defect = float(defects[worst])
         scale = max(1.0, float(np.abs(delta_e).max()), float(np.abs(traj.work).max()))
-        audit = {"max_defect": defect, "scale": scale,
-                 "relative_defect": defect / scale}
+        audit = {"max_defect": defect, "max_defect_t": float(traj.t[worst]),
+                 "scale": scale, "relative_defect": defect / scale}
     else:
-        audit = {"max_defect": 0.0, "scale": 1.0, "relative_defect": 0.0}
+        audit = {"max_defect": 0.0, "max_defect_t": None, "scale": 1.0,
+                 "relative_defect": 0.0}
     audit["within_tolerance"] = audit["relative_defect"] <= ENERGY_AUDIT_RTOL
     if not audit["within_tolerance"]:
         logger.warning("energy audit defect %.3e exceeds the %.0e tolerance",

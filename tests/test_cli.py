@@ -91,15 +91,18 @@ def test_verify_passes(capsys):
 
 
 def test_verify_seed_robustness(desk):
-    # identical verdicts across seeds, on arms of 0, 1, 3 and 7 links
+    # identical verdicts across seeds, on arms of 0, 1, 3 and 7 links; the
+    # fixed-input checks do not read the seed, so they run once per model
     from pendusim import verify
     models = [dataclasses.replace(desk, links=()),
               dataclasses.replace(desk, links=desk.links[:1]),
               desk, preset_paper(7)]
     for model in models:
         for seed in range(4):
-            assert verify.run_all(model=model, seed=seed, out=lambda *_: None), (
-                model.n_links, seed)
+            for r in verify.seeded_results(model, seed):
+                assert r.passed, (model.n_links, seed, r.name, r.detail)
+        for r in verify.fixed_results(model):
+            assert r.passed, (model.n_links, r.name, r.detail)
 
 
 def _desk_scenario_file(tmp_path, desk, name, **model_changes):
@@ -130,6 +133,39 @@ def test_verify_unreachable_balance_exits_1(tmp_path, desk, capsys):
     out = capsys.readouterr().out
     assert "[FAIL] static mover balance residual" in out
     assert "no balance point within mover travel" in out
+
+
+def _travel_scenario_file(tmp_path, desk):
+    """A short free-law run whose movers start past the travel limit."""
+    q0 = np.zeros(desk.dof)
+    q0[3] = 0.9
+    sc = Scenario(model=desk, controller="free", q0=q0, dt=1e-2, duration=0.1,
+                  decimation=1, label="travel")
+    path = tmp_path / "travel.json"
+    save_scenario(sc, path)
+    return str(path)
+
+
+def test_log_level_error_silences_travel_warning(tmp_path, desk, capsys):
+    """The default level prints the travel warning as its bare message, once
+    per call however many calls one process makes; ERROR silences it."""
+    import logging
+    path = _travel_scenario_file(tmp_path, desk)
+    handlers = list(logging.getLogger("pendusim").handlers)
+    warning = ("mover travel beyond the +-0.80 m soft limit at t=0.00 s "
+               "(not enforced)\n")
+    for _ in range(2):
+        assert cli.main(["run", "--scenario", path, "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == warning
+    assert cli.main(["--log-level", "ERROR", "run", "--scenario", path,
+                     "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+    assert cli.main(["--log-level", "INFO", "run", "--scenario", path,
+                     "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == (
+        warning + "run travel: 10 steps, 41 stage evaluations\n")
+    assert logging.getLogger("pendusim").handlers == handlers
+    assert cli.main(["--log-level", "LOUD", "verify"]) == 2
 
 
 def test_verify_corrupt_model_exits_2(tmp_path, quick_scenario_path):

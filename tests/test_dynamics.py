@@ -8,6 +8,10 @@ from pendusim import control, dynamics, engine
 from pendusim.dynamics import Eval, IllConditionedTransformError, forward_dynamics
 from pendusim.model import State, model_from_dict, preset_paper
 
+# Every array an engine.Assembled carries, views and first-read terms included.
+ASSEMBLED_FIELDS = ("link_origin", "p_bodies", "J", "H", "HJ", "Jv", "Jw", "Iw",
+                    "M", "g", "V", "com", "Jcom")
+
 
 @pytest.fixture(scope="module")
 def desk():
@@ -74,7 +78,7 @@ def test_batched_assembly_matches_single_configurations(n_links):
         batch = engine.assemble(model, Q)
         for i in range(B):
             one = engine.assemble1(model, Q[i])
-            for name in engine.Assembled.__slots__:
+            for name in ASSEMBLED_FIELDS:
                 if name != "V":
                     assert np.array_equal(getattr(batch, name)[i],
                                           getattr(one, name)[0]), name
@@ -83,6 +87,38 @@ def test_batched_assembly_matches_single_configurations(n_links):
         M = engine.assemble1(model, q).M[0]
         H = oracles.mass_matrix(model, q)
         assert np.abs(M - H).max() < 1e-8 * max(1.0, np.abs(M).max())
+
+
+@pytest.mark.parametrize("n_links", [0, 3, 7])
+def test_assembled_spatial_form(n_links):
+    """J stacks each body's point rows over its angular rows, with Jv and Jw
+    views of it; H is diag(m I3, Iw) with Iw a view; M is sym(J' H J), the
+    sum of the per-body point and rotational terms, and HJ is H J."""
+    base = preset_paper(7 if n_links == 7 else 3)
+    model = base if n_links else dataclasses.replace(base, links=())
+    rng = np.random.default_rng(70 + n_links)
+    Q = np.array([random_state(rng, model)[0] for _ in range(3)])
+    for a in (engine.assemble(model, Q),
+              engine.assemble(model, dynamics._complex_rows(Q[0], 1e-20 * Q[1:2]))):
+        B, nb, N = len(a.M), model.n_bodies, model.dof
+        assert a.J.shape == (B, nb, 6, N) and a.H.shape == (B, nb, 6, 6)
+        assert np.shares_memory(a.Jv, a.J) and np.shares_memory(a.Jw, a.J)
+        assert np.shares_memory(a.Iw, a.H)
+        assert np.array_equal(a.J[..., 0:3, :], a.Jv)
+        assert np.array_equal(a.J[..., 3:6, :], a.Jw)
+        assert np.array_equal(a.H[..., 3:6, 3:6], a.Iw)
+        masses = np.r_[model.platform.mass, model.movers.mass, model.movers.mass,
+                       [link.mass for link in model.links]]
+        assert (a.H[..., 0:3, 0:3] == masses[:, None, None] * np.eye(3)).all()
+        assert not a.H[..., 0:3, 3:6].any() and not a.H[..., 3:6, 0:3].any()
+        assert not a.Iw[:, 1:3].any()                # point-mass movers
+        JHJ = np.einsum("bkri,bkrs,bksj->bij", a.J, a.H, a.J)
+        parts = (np.einsum("k,bkri,bkrj->bij", masses, a.Jv, a.Jv)
+                 + np.einsum("bkri,bkrs,bksj->bij", a.Jw, a.Iw, a.Jw))
+        scale = np.abs(a.M).max()
+        for ref in (0.5 * (JHJ + JHJ.transpose(0, 2, 1)), parts):
+            assert np.abs(a.M - ref).max() <= 1e-14 * scale
+        assert np.abs(a.HJ - a.H @ a.J).max() == 0.0
 
 
 def test_gravity_zero_at_symmetric_hang(desk):
@@ -356,7 +392,7 @@ def test_complex_row_real_parts_match_real_assembly(name, model):
         q, qd = random_state(rng, model)
         real = engine.assemble1(model, q)
         row = engine.assemble(model, dynamics._complex_rows(q, 1e-20 * qd[None]))
-        for field in engine.Assembled.__slots__:
+        for field in ASSEMBLED_FIELDS:
             a, b = getattr(row, field).real, getattr(real, field)
             if exact:
                 assert np.array_equal(a, b), field

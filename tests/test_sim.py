@@ -385,6 +385,33 @@ def test_energy_audit_tolerance_flag(desk, caplog):
     assert any("energy audit" in r.message for r in caplog.records)
 
 
+def test_energy_audit_worst_defect_time(desk):
+    """max_defect_t is the logged time of the worst |dE - W|, and null when
+    nothing was logged."""
+    t = np.linspace(0.0, 30.0, 601)
+    traj = synthetic_traj(desk, t, {})
+    traj.e_pot = 1e-3 * np.sin(t)
+    traj.work = 2e-4 * t
+    audit = build_report(traj).energy_audit
+    defects = np.abs(traj.e_pot - traj.e_pot[0] - traj.work)
+    assert audit["max_defect_t"] == t[np.argmax(defects)]
+    assert audit["max_defect"] == defects.max()
+
+    sc = Scenario(model=desk, controller="free", q0=np.r_[0.1, np.zeros(desk.dof - 1)],
+                  dt=1e-2, duration=1.0, decimation=5)
+    traj, rep = run(sc)
+    delta = traj.e_kin + traj.e_pot - traj.e_kin[0] - traj.e_pot[0]
+    worst = np.argmax(np.abs(delta - traj.work))
+    assert rep.energy_audit["max_defect_t"] == traj.t[worst]
+    doc = json.loads(json.dumps(rep.to_dict()))
+    assert doc["energy_audit"]["max_defect_t"] == traj.t[worst]
+
+    empty = dataclasses.replace(
+        traj, escaped=True, **{k: getattr(traj, k)[:0] for k in
+                               ("t", "q", "qd", "u", "xc", "e_kin", "e_pot", "work")})
+    assert build_report(empty).energy_audit["max_defect_t"] is None
+
+
 def test_report_run_block(desk, tmp_path, monkeypatch):
     """report.json states how the run was computed: its steps, its stage
     evaluations and the configurations each one assembled, which together
@@ -547,12 +574,19 @@ def test_health_conditioning_is_exact(desk, setpoint, law):
         assert abs(worst - ref) <= 1e-12 * ref
 
 
+# Terms of the stage row each law reads beyond M, g and the bias.
+ROW_READS = {"motivating": {"C_phim"}, "remark1": {"com", "Jcom"},
+             "remark2": {"C_phim"}, "proposed": {"com", "Jcom"}, "free": set()}
+
+
 @pytest.mark.parametrize("law, guards", [
     ("motivating", {"M_phim"}), ("remark1", {"Jcom_phi"}),
     ("remark2", {"M_phim"}), ("proposed", {"Jcom_phi"}), ("free", set())])
 def test_stage_builds_only_what_the_law_reads(desk, setpoint, law, guards):
     """One RK4 stage leaves none of the unread cached terms on the
-    evaluation, and its guards record exactly the blocks the law inverts."""
+    evaluation, builds the stage-row terms its law reads (a free-law stage
+    builds none beyond M, g and the bias), and its guards record exactly the
+    blocks the law inverts."""
     from pendusim import sim
 
     ctrl = control.make_controller(law, Gains(), setpoint)
@@ -560,6 +594,8 @@ def test_stage_builds_only_what_the_law_reads(desk, setpoint, law, guards):
     ev, _, _, _ = sim._stage(desk, q, np.full(desk.dof, 0.1), ctrl, None)
     unread = {"Mbar_cc", "T", "Tinv", "Mbar", "dM", "C", "Cbar", "gbar"}
     assert not unread & set(vars(ev))
+    row_terms = {"C_phim", "V", "com", "Jcom"}
+    assert row_terms & set(vars(ev)) == ROW_READS[law]
     assert set(ev.conds) == guards
     assert all(1.0 <= cond <= dynamics.COND_LIMIT for cond in ev.conds.values())
 
