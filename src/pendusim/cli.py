@@ -99,8 +99,6 @@ PRESET_NAMES = ("fig3_motivating", "fig4_remark1", "fig5_remark2", "fig6_propose
 
 
 def _resolve_scenario(args):
-    if args.preset and args.scenario:
-        raise ScenarioError("give either --preset or --scenario, not both")
     if args.preset:
         scenario, expect, desc = _preset_scenario(args.preset)
     elif args.scenario:
@@ -124,7 +122,7 @@ def cmd_run(args):
         for name in PRESET_NAMES:
             sub = argparse.Namespace(**vars(args))
             sub.all_presets = False
-            sub.preset, sub.scenario = name, None
+            sub.preset = name
             sub.out = os.path.join(args.out, name)
             worst = max(worst, cmd_run(sub))
         return worst
@@ -166,6 +164,8 @@ def cmd_verify(args):
 
 
 def cmd_equilibrium(args):
+    if args.write and not args.scenario:
+        raise ScenarioError("--write needs --scenario, the file qm* is written into")
     if args.scenario:
         scenario = load_scenario(args.scenario)
         model = scenario.model
@@ -185,7 +185,7 @@ def cmd_equilibrium(args):
         return 1
     res = float(np.linalg.norm(balance_residual(model, qm, qr_des, gamma_des)))
     print(f"qm* = [{qm[0]:.9f}, {qm[1]:.9f}]   residual |g_phi| = {res:.3e}")
-    if args.write and args.scenario:
+    if args.write:
         scenario.setpoint = Setpoint(gamma_des, qr_des, qm)
         save_scenario(scenario, args.scenario)
         print(f"wrote qm* into {args.scenario}")
@@ -204,10 +204,11 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="simulate a scenario or preset")
-    run_p.add_argument("--preset", choices=PRESET_NAMES)
-    run_p.add_argument("--scenario", help="scenario JSON file")
-    run_p.add_argument("--all-presets", action="store_true", dest="all_presets",
-                       help="run every preset into <out>/<preset>/")
+    source = run_p.add_mutually_exclusive_group()
+    source.add_argument("--preset", choices=PRESET_NAMES)
+    source.add_argument("--scenario", help="scenario JSON file")
+    source.add_argument("--all-presets", action="store_true", dest="all_presets",
+                        help="run every preset into <out>/<preset>/")
     run_p.add_argument("--out", default="out", help="output directory")
     run_p.add_argument("--svg", action="store_true", help="emit SVG plots")
     run_p.add_argument("--dt", type=float, help="integration step override [s]")
@@ -218,8 +219,9 @@ def build_parser():
     ver_p.add_argument("--scenario", help="verify against this scenario's model")
 
     eq_p = sub.add_parser("equilibrium", help="solve the static mover balance")
-    eq_p.add_argument("--preset", choices=("desk3", "full7"))
-    eq_p.add_argument("--scenario", help="scenario JSON file with a setpoint")
+    source = eq_p.add_mutually_exclusive_group()
+    source.add_argument("--preset", choices=("desk3", "full7"))
+    source.add_argument("--scenario", help="scenario JSON file with a setpoint")
     eq_p.add_argument("--write", action="store_true",
                       help="write qm* back into the scenario file")
 

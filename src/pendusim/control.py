@@ -47,7 +47,8 @@ class SingularCouplingError(RuntimeError):
 
 
 class NoConvergenceError(RuntimeError):
-    """Static equilibrium search failed; carries the final residual."""
+    """No static balance point within mover travel; carries the residual
+    |g_phi| and the q_m clipped to the travel box."""
 
     def __init__(self, message, residual=None, qm=None):
         super().__init__(message)
@@ -197,13 +198,12 @@ def qm_ref_remark2(ev, gains, setpoint):
 
 
 def qm_ref_proposed(ev, gains, setpoint):
-    """CoM damping plus mover PD, scaled by D; the unique rest point is
-    (x_c, q_m) = (0, q_m*)."""
+    """Remark-1 CoM damping plus a mover PD term about q_m*, scaled by D; the
+    unique rest point is (x_c, q_m) = (0, q_m*)."""
     qm = ev.q[3:5]
     qmd = ev.qd[3:5]
-    inner = (ev.Mbar_cm.T @ (gains.D_c * ev.xc_dot + gains.K_c * ev.com)
-             - gains.D_m * qmd - gains.K_m * (qm - setpoint.qm_star))
-    return gains.D * inner
+    return gains.D * (qm_ref_remark1(ev, gains)
+                      - gains.D_m * qmd - gains.K_m * (qm - setpoint.qm_star))
 
 
 def pfl_input(ev, ydd_ref):
@@ -260,51 +260,35 @@ def balance_residual(model, qm, qr_des, gamma_des=0.0):
 
 
 def solve_equilibrium_qm(model, qr_des, gamma_des=0.0):
-    """Mover position statically balancing the arm's gravity torque at level
-    attitude, by damped Newton (at most 100 steps) on the 2-vector
-    g_phi(phi=0, q_m, qr_des) with its exact complex-step Jacobian, to
-    |g_phi| < BALANCE_TOL.
+    """Mover position q_m* statically balancing the arm's gravity torque at
+    level attitude: the root of the 2-vector g_phi(phi=0, q_m, qr_des), in one
+    exact Newton step from q_m = 0.
 
-    Iterates are clamped to the mover travel box; a balance point beyond the
-    movers' authority therefore fails with NoConvergenceError.
+    One step is exact because the problem is linear.  Each mover height is
+    linear in q_m at any attitude and the potential is linear in the heights,
+    so g_phi = dV/dphi is affine in q_m; at level attitude its Jacobian is
+    the constant g m_mover [[0, 1], [-1, 0]] (m_mover the mass of one mover),
+    taken here by complex step (``dynamics.derivatives``).  The step is clipped to the
+    mover travel box and must leave |g_phi| < BALANCE_TOL; a balance point
+    beyond the movers' travel fails with NoConvergenceError, which carries
+    the residual at the clipped q_m.
     """
     qr_des = np.asarray(qr_des, dtype=float).reshape(-1)
     if qr_des.size != model.n_links:
         raise ValueError(f"expected {model.n_links} arm targets, got {qr_des.size}")
     lim = model.movers.travel_limit
-
-    def residual(qm):
-        return balance_residual(model, qm, qr_des, gamma_des)
-
-    steps = np.zeros((2, model.dof))
-    steps[0, 3] = steps[1, 4] = dynamics.CS_STEP
-
-    def jac(qm):
-        """d g_phi / d q_m, exact: one complex row per mover coordinate."""
-        Q = dynamics._complex_rows(_level(qm, qr_des, gamma_des), steps)
-        return engine.assemble(model, Q).g[:, 0:2].imag.T / dynamics.CS_STEP
-
     qm = np.zeros(2)
-    r = residual(qm)
-    for _ in range(100):
-        if np.linalg.norm(r) < BALANCE_TOL:
-            return qm
-        step = np.linalg.solve(jac(qm), -r)
-        lam = 1.0
-        while lam > 1e-8:
-            cand = np.clip(qm + lam * step, -lim, lim)
-            r_new = residual(cand)
-            if np.linalg.norm(r_new) < np.linalg.norm(r):
-                qm, r = cand, r_new
-                break
-            lam *= 0.5
-        else:
-            break
-    if np.linalg.norm(r) < BALANCE_TOL:
+    r = balance_residual(model, qm, qr_des, gamma_des)
+    rows = dynamics.derivatives(model, _level(qm, qr_des, gamma_des),
+                                np.eye(model.dof)[3:5])
+    dg = rows.g[:, 0:2].imag.T / dynamics.CS_STEP       # d g_phi / d q_m
+    qm = np.clip(qm + np.linalg.solve(dg, -r), -lim, lim)
+    res = float(np.linalg.norm(balance_residual(model, qm, qr_des, gamma_des)))
+    if res < BALANCE_TOL:
         return qm
     raise NoConvergenceError(
-        f"static balance not reached: residual {np.linalg.norm(r):.3e} at qm {qm}",
-        residual=float(np.linalg.norm(r)), qm=qm)
+        f"no balance point within mover travel: residual {res:.3e} at qm {qm}",
+        residual=res, qm=qm)
 
 
 class Controller:

@@ -8,9 +8,10 @@ transformed terms (``engine.assemble`` serves batches).  It assembles a
 single complex configuration q + i h qd (h = 1e-20): its real parts are M, g
 and the spatial body Jacobians J = [Jv; Jw] and inertias H = diag(m I3, Iw),
 its imaginary parts their exact rates along qd (complex-step
-differentiation).  The bias C qd + g is the Newton-Euler forces projected
-through the Jacobians, in spatial form one product with the imaginary part
-of the body momenta H J qd, whose rate at qdd = 0 is
+differentiation, through ``derivatives``, the one entry point).  The bias
+C qd + g is the Newton-Euler forces projected through the Jacobians, in
+spatial form one product with the imaginary part of the body momenta H J qd,
+whose rate at qdd = 0 is
 (m Jv_dot qd, Iw Jw_dot qd + w x Iw w):
 
     C qd + g = J' Im(H J qd) / h + g,
@@ -49,7 +50,7 @@ import numpy as np
 
 from . import engine
 
-CS_STEP = 1e-20         # complex step of the stage row and of dM/dq
+CS_STEP = 1e-20         # complex step of every derivative (derivatives)
 COND_LIMIT = 1e8        # 2x2 conditioning guard (Eval.guard2)
 
 
@@ -101,22 +102,17 @@ def mul2(X, Y):
     return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
-def _complex_rows(q, steps):
-    """Configurations q + i steps, one per row of steps."""
-    Q = np.empty(steps.shape, dtype=complex)
+def derivatives(model, q, directions):
+    """Assembly of the complex configurations q + i h d, one per row d of
+    directions (h = CS_STEP): each output's real part is its value at q and
+    its imaginary part over h its exact derivative along d (complex step,
+    Squire & Trapp 1998: no difference is taken, so h sits far below
+    roundoff)."""
+    D = np.asarray(directions, dtype=float)
+    Q = np.empty(D.shape, dtype=complex)
     Q.real = q
-    Q.imag = steps
-    return Q
-
-
-@functools.lru_cache(maxsize=None)
-def _dM_steps(N):
-    """Imaginary steps of the dM/dq batch (shared; read only): one row per
-    coordinate but yaw, whose dM/dq slice is analytically zero."""
-    D = np.zeros((N - 1, N))
-    for j, i in enumerate([0, 1] + list(range(3, N))):
-        D[j, i] = CS_STEP
-    return D
+    Q.imag = CS_STEP * D
+    return engine.assemble(model, Q)
 
 
 class Eval:
@@ -150,7 +146,7 @@ class Eval:
     def __init__(self, model, q, qd):
         q = np.asarray(q, dtype=float)
         qd = np.asarray(qd, dtype=float)
-        a = engine.assemble(model, _complex_rows(q, CS_STEP * qd[None]))
+        a = derivatives(model, q, qd[None])
         self.model = model
         self.q = q
         self.qd = qd
@@ -252,13 +248,12 @@ class Eval:
     @functools.cached_property
     def dM(self):
         """dM/dq as an (N, N, N) tensor indexed [i, j, k] = dM_jk/dq_i, from
-        one complex configuration per coordinate but yaw."""
+        one complex configuration per coordinate but yaw, whose slice is
+        analytically zero."""
         N = self.model.dof
-        Qb = _complex_rows(self.q, _dM_steps(N))
-        dMp = engine.assemble(self.model, Qb).M.imag / CS_STEP
+        rows = [0, 1, *range(3, N)]
         dM = np.zeros((N, N, N))
-        dM[0:2] = dMp[0:2]
-        dM[3:] = dMp[2:]
+        dM[rows] = derivatives(self.model, self.q, np.eye(N)[rows]).M.imag / CS_STEP
         return dM
 
     @functools.cached_property

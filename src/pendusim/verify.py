@@ -5,8 +5,8 @@ over seeded random in-envelope states, plus two checks with fixed inputs
 These are the same properties the test suite asserts; having them callable
 from the command line makes any installation checkable without pytest.
 Derivatives are exact: each is the imaginary part of one assembly of complex
-configurations q + i h d (complex step, see engine), so the identities hold
-to roundoff.
+configurations q + i h d (complex step, ``dynamics.derivatives``), so the
+identities hold to roundoff.
 """
 
 from dataclasses import dataclass
@@ -42,13 +42,6 @@ def random_state(rng, model):
     return q, qd
 
 
-def _derivatives(model, q, directions):
-    """Assembly of the rows q + i h d, one per row d of directions; each
-    output's imaginary part over h is its exact derivative along d."""
-    steps = dynamics.CS_STEP * np.asarray(directions)
-    return engine.assemble(model, dynamics._complex_rows(q, steps))
-
-
 def check_mass_matrix(model, rng):
     worst_sym, min_eig = 0.0, np.inf
     for _ in range(200):        # one real assembly each
@@ -66,7 +59,7 @@ def check_gravity_gradient(model, rng):
     worst = 0.0
     for _ in range(N_STATES):
         q, _ = random_state(rng, model)
-        a = _derivatives(model, q, np.eye(model.dof))
+        a = dynamics.derivatives(model, q, np.eye(model.dof))
         g = a.g[0].real
         dV = a.V.imag / dynamics.CS_STEP
         worst = max(worst, np.abs(g - dV).max() / (1.0 + np.abs(g).max()))
@@ -82,7 +75,7 @@ def check_skew_symmetry(model, rng):
     for _ in range(N_STATES):
         q, qd = random_state(rng, model)
         C = dynamics.Eval(model, q, qd).C
-        Mdot = _derivatives(model, q, qd[None]).M[0].imag / dynamics.CS_STEP
+        Mdot = dynamics.derivatives(model, q, qd[None]).M[0].imag / dynamics.CS_STEP
         S = Mdot - 2.0 * C
         worst = max(worst, np.abs(0.5 * (S + S.T)).max() / (1.0 + float(qd @ qd)))
     ok = worst < 1e-10
@@ -165,7 +158,7 @@ def check_com_jacobian(model, rng):
     worst = 0.0
     for _ in range(N_STATES):
         q, _ = random_state(rng, model)
-        a = _derivatives(model, q, np.eye(model.dof))
+        a = dynamics.derivatives(model, q, np.eye(model.dof))
         worst = max(worst, np.abs(a.Jcom[0].real
                                   - a.com.imag.T / dynamics.CS_STEP).max())
     ok = worst < 1e-12

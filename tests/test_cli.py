@@ -213,6 +213,26 @@ def test_equilibrium_unreachable_exits_1(tmp_path, desk, capsys):
     assert "residual" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["equilibrium", "--preset", "desk3", "--write"],
+    ["equilibrium", "--preset", "desk3", "--scenario", "f.json"],
+    ["run", "--all-presets", "--preset", "fig6_proposed"],
+    ["run", "--all-presets", "--scenario", "f.json"],
+    ["run", "--preset", "fig6_proposed", "--scenario", "f.json"],
+], ids=["equilibrium-preset-write", "equilibrium-preset-scenario",
+        "run-all-presets-preset", "run-all-presets-scenario",
+        "run-preset-scenario"])
+def test_option_that_would_be_ignored_exits_2(argv, tmp_path, monkeypatch, capsys):
+    """An option the command could not honour is a usage error: nothing is
+    solved, run or written."""
+    monkeypatch.chdir(tmp_path)
+    extra = ["--out", "o", "--duration", "0.01"] if argv[0] == "run" else []
+    assert cli.main(argv + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_usage_error_exits_2():
     assert cli.main(["bogus-command"]) == 2
     assert cli.main(["run", "--preset", "not-a-preset"]) == 2

@@ -294,14 +294,41 @@ def test_equilibrium_solver_paper7_grid_oracle():
     assert np.linalg.norm(best - qm) < 0.02  # within one cell of the coarse grid
 
 
-def test_equilibrium_solver_unreachable(desk):
+def _heavy_arm(desk):
+    """The desk arm with 10x link masses: its balance point lies beyond the
+    mover travel."""
     heavy = tuple(SerialLink(l.parent_offset, l.axis, l.mass * 10.0,
                              l.com_offset, l.inertia * 10.0)
                   for l in desk.links)
-    model = SystemModel(platform=desk.platform, movers=desk.movers, links=heavy)
+    return SystemModel(platform=desk.platform, movers=desk.movers, links=heavy)
+
+
+def test_equilibrium_solver_unreachable(desk):
     with pytest.raises(NoConvergenceError) as err:
-        solve_equilibrium_qm(model, QR_DES)
+        solve_equilibrium_qm(_heavy_arm(desk), QR_DES)
     assert err.value.residual > 1.0
+    assert np.abs(err.value.qm).max() == desk.movers.travel_limit
+
+
+def test_equilibrium_solver_takes_one_step(desk, monkeypatch):
+    """The balance solve assembles three times, reachable or not: the
+    residual at q_m = 0, the Jacobian rows, and the residual at the clipped
+    step."""
+    heavy = _heavy_arm(desk)
+    calls = []
+    assemble = engine.assemble
+
+    def recording(m, Q):
+        calls.append(len(Q))
+        return assemble(m, Q)
+
+    monkeypatch.setattr(engine, "assemble", recording)
+    solve_equilibrium_qm(desk, QR_DES)
+    assert calls == [1, 2, 1]
+    calls.clear()
+    with pytest.raises(NoConvergenceError):
+        solve_equilibrium_qm(heavy, QR_DES)
+    assert calls == [1, 2, 1]
 
 
 def test_controller_matches_public_laws(desk, setpoint, gains):

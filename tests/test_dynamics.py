@@ -99,7 +99,7 @@ def test_assembled_spatial_form(n_links):
     rng = np.random.default_rng(70 + n_links)
     Q = np.array([random_state(rng, model)[0] for _ in range(3)])
     for a in (engine.assemble(model, Q),
-              engine.assemble(model, dynamics._complex_rows(Q[0], 1e-20 * Q[1:2]))):
+              dynamics.derivatives(model, Q[0], Q[1:2])):
         B, nb, N = len(a.M), model.n_bodies, model.dof
         assert a.J.shape == (B, nb, 6, N) and a.H.shape == (B, nb, 6, 6)
         assert np.shares_memory(a.Jv, a.J) and np.shares_memory(a.Jw, a.J)
@@ -391,7 +391,7 @@ def test_complex_row_real_parts_match_real_assembly(name, model):
     for _ in range(10):
         q, qd = random_state(rng, model)
         real = engine.assemble1(model, q)
-        row = engine.assemble(model, dynamics._complex_rows(q, 1e-20 * qd[None]))
+        row = dynamics.derivatives(model, q, qd[None])
         for field in ASSEMBLED_FIELDS:
             a, b = getattr(row, field).real, getattr(real, field)
             if exact:
@@ -572,12 +572,30 @@ def test_dynamics_identities_on_random_models(n_links):
             assert np.linalg.eigvalsh(M).min() > 0.0
 
             g = engine.assemble1(model, q).g[0]
-            dV = engine.assemble(model, dynamics._complex_rows(q, h * np.eye(N))).V.imag / h
+            dV = dynamics.derivatives(model, q, np.eye(N)).V.imag / h
             gscale = 1.0 + np.abs(g).max()
             assert np.abs(g - dV).max() <= 1e-10 * gscale
             assert np.abs(g - oracles.gravity_cs(model, q)).max() <= 1e-9 * gscale
 
             C = Eval(model, q, qd).C
-            Mdot = engine.assemble(model, dynamics._complex_rows(q, h * qd[None])).M[0].imag / h
+            Mdot = dynamics.derivatives(model, q, qd[None]).M[0].imag / h
             S = Mdot - 2.0 * C
             assert np.abs(S + S.T).max() <= 1e-10 * (1.0 + np.abs(Mdot).max())
+
+
+@pytest.mark.parametrize("n_links", range(8))
+def test_balance_jacobian_is_constant_on_random_models(n_links):
+    """At level attitude, whatever the yaw, movers and arm, d g_phi / d q_m
+    is g m_mover [[0, 1], [-1, 0]]: g_phi is affine in q_m, so the balance
+    solve's one Newton step is exact."""
+    rng = np.random.default_rng(90 + n_links)
+    for _ in range(3):
+        model = random_model(rng, n_links)
+        ref = model.gravity * model.movers.mass * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        for _ in range(3):
+            q = np.concatenate([[0.0, 0.0], rng.uniform(-1.0, 1.0, 1),
+                                rng.uniform(-0.8, 0.8, 2),
+                                rng.uniform(-np.pi, np.pi, n_links)])
+            rows = dynamics.derivatives(model, q, np.eye(model.dof)[3:5])
+            dg = rows.g[:, 0:2].imag.T / dynamics.CS_STEP
+            assert np.abs(dg - ref).max() <= 1e-12 * np.abs(ref).max()
