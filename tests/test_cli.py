@@ -215,17 +215,20 @@ def test_equilibrium_unreachable_exits_1(tmp_path, desk, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["equilibrium", "--preset", "desk3", "--write"],
-    ["equilibrium", "--preset", "desk3", "--scenario", "f.json"],
+    ["equilibrium", "--preset", "desk3", "--scenario"],
     ["run", "--all-presets", "--preset", "fig6_proposed"],
-    ["run", "--all-presets", "--scenario", "f.json"],
-    ["run", "--preset", "fig6_proposed", "--scenario", "f.json"],
+    ["run", "--all-presets", "--scenario"],
+    ["run", "--preset", "fig6_proposed", "--scenario"],
 ], ids=["equilibrium-preset-write", "equilibrium-preset-scenario",
         "run-all-presets-preset", "run-all-presets-scenario",
         "run-preset-scenario"])
-def test_option_that_would_be_ignored_exits_2(argv, tmp_path, monkeypatch, capsys):
+def test_option_that_would_be_ignored_exits_2(argv, quick_scenario_path, tmp_path,
+                                              monkeypatch, capsys):
     """An option the command could not honour is a usage error: nothing is
     solved, run or written."""
     monkeypatch.chdir(tmp_path)
+    if argv[-1] == "--scenario":
+        argv = argv + [quick_scenario_path]
     extra = ["--out", "o", "--duration", "0.01"] if argv[0] == "run" else []
     assert cli.main(argv + extra) == 2
     captured = capsys.readouterr()
